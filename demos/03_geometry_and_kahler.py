@@ -12,9 +12,11 @@ print("== Nakayama eigenvalues ==")
 print(nakayama_table_text(algebra))
 
 print("\n== covariant splitting census ==")
+candidates = geometry.candidate_splittings()
+star_compatible = [h for h in candidates if geometry.satisfies_star_swap(h)]
 survivors = geometry.enumerate_foacs()
-print("  star-compatible assignments: 8 of 64; module-closed survivors: %d"
-      % len(survivors))
+print("  star-compatible assignments: %d of %d; module-closed survivors: %d"
+      % (len(star_compatible), len(candidates), len(survivors)))
 for s in survivors:
     print("   ", s.render())
 
@@ -46,11 +48,15 @@ for name, central in sorted(verdicts.items()):
     print("   %-12s %s" % (name, "central" if central else "NOT central"))
 print("  witness action on f_a1^e_a1:",
       geometry.centrality_witness_value().render())
-top, divisible = geometry.kahler_cube(symbolic=True)
-print("  top coefficient of the cube:", top.render())
+cube, divisible = geometry.kahler_cube()
+print("  top coefficient of the cube, by c-monomial:")
+for exps, coeff in sorted(cube.items(), reverse=True):
+    monomial = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(("c1", "c2", "c3"), exps) if e)
+    print("    %-10s %s" % (monomial, coeff.render()))
 print("  divisible by c1:", divisible)
-print("  cube at c = (0,1,1):", top.substitute_symbols([0, 1, 1]).render())
-value = geometry.kahler_cube(symbolic=False, values=(1, 1, 1))[0]
-print("  cube at c = (1,1,1), q = 1:", value.evaluate_at_one())
+print("  cube at c = (0,1,1):", geometry.cube_at(cube, (0, 1, 1)).render())
+print("  cube at c = (1,1,1), q = 1:",
+      geometry.cube_at(cube, (1, 1, 1)).evaluate_at_one())
 print("  verdict: no coinvariant form is both central and nondegenerate:",
       geometry.no_covariant_kahler().overall)

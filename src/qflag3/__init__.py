@@ -1,4 +1,4 @@
-"""Exact symbolic model of the quantum exterior algebra of the full quantum
+"""Exact model of the quantum exterior algebra of the full quantum
 flag manifold of SU_q(3), with mechanical verification suites for its
 relations, dimensions, Frobenius structure, complex structures, and the
 Kaehler obstruction.

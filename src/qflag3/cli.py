@@ -2,7 +2,7 @@
 relation dumps, and derive coset data for individual flag generators.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails, 2 on
-usage errors.
+usage errors and when the report cannot be written.
 """
 
 from __future__ import annotations
@@ -64,8 +64,13 @@ def _cmd_verify(args) -> int:
     rendered = report.emit(reports, args.format)
     print(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            print("qflag3: cannot write %s: %s" % (args.out, exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
     return 0 if all(r.overall for r in reports) else 1
 
 

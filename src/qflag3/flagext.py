@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import qpair, rootdata
+from . import linalg, qpair, rootdata
 from .ncpoly import Alphabet, NCPolynomial, ReductionSystem, RewriteRule
 from .report import VerificationReport
 from .scalar import Coefficient, ONE, ZERO
@@ -183,31 +183,13 @@ def nakayama(algebra: ExteriorAlgebra, degree: int):
     solution = {}
     for x in algebra.system.irreducible_words(degree):
         rhs = [integral(algebra, algebra.monomial(x + y)) for y in rows]
-        coeffs = _solve_linear(matrix, rhs)
+        coeffs = linalg.solve(matrix, rhs)
         if coeffs is None:
             raise ArithmeticError(
                 "Frobenius pairing matrix is singular in degree %d" % degree)
         solution[x] = NCPolynomial(
             algebra.alphabet, {cols[j]: c for j, c in enumerate(coeffs)})
     return solution
-
-
-def _solve_linear(matrix, rhs):
-    """Gaussian elimination over the coefficient field; None if singular."""
-    n = len(matrix)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [entry / inv for entry in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
 
 
 def nakayama_generator_table(algebra: ExteriorAlgebra):
@@ -316,33 +298,6 @@ def encoded_relation_vectors(algebra: ExteriorAlgebra):
     return vectors
 
 
-def _reduce_against(vec, pivots):
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            return vec
-        factor = vec[lead]
-        for j, c in pivot.items():
-            new = vec.get(j, ZERO) - factor * c
-            if new.is_zero():
-                vec.pop(j, None)
-            else:
-                vec[j] = new
-    return vec
-
-
-def _insert_pivot(vec, pivots) -> bool:
-    rem = _reduce_against(vec, pivots)
-    if not rem:
-        return False
-    lead = min(rem)
-    inv = rem[lead]
-    pivots[lead] = {j: c / inv for j, c in rem.items()}
-    return True
-
-
 def omega_vector(matrix):
     return {r * 6 + c: matrix[r][c]
             for r in range(6) for c in range(6) if not matrix[r][c].is_zero()}
@@ -356,16 +311,16 @@ def derive_relations_via_omega(algebra: ExteriorAlgebra):
     """
     encoded_pivots = {}
     for vec in encoded_relation_vectors(algebra):
-        _insert_pivot(dict(vec), encoded_pivots)
+        linalg.insert_pivot(vec, encoded_pivots)
     derived_pivots = {}
     witnesses = []
     for label, gen in ideal_generators():
         vec = omega_vector(qpair.omega(gen))
         if not vec:
             continue
-        if _reduce_against(vec, encoded_pivots):
+        if linalg.reduce(vec, encoded_pivots):
             witnesses.append(label)
-        _insert_pivot(vec, derived_pivots)
+        linalg.insert_pivot(vec, derived_pivots)
     return len(derived_pivots), len(encoded_pivots), witnesses
 
 

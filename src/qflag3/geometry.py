@@ -5,9 +5,11 @@ counts for covariant connections, and the Kaehler obstruction computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from . import flagext, qpair, rootdata
+from . import flagext, linalg, qpair, rootdata
 from .ncpoly import NCPolynomial
 from .report import VerificationReport
 from .scalar import Coefficient, ONE, ZERO
@@ -65,13 +67,18 @@ def _span_closed_under_flag_action(letters) -> bool:
     return True
 
 
+def candidate_splittings():
+    """All 64 subsets of the six letters, each a candidate holomorphic half."""
+    return tuple(frozenset(l for k, l in enumerate(LETTERS) if bits & (1 << k))
+                 for bits in range(1 << len(LETTERS)))
+
+
 @lru_cache(maxsize=None)
 def enumerate_foacs():
-    """All 64 letter assignments, filtered by the star-swap condition and
+    """The candidate splittings, filtered by the star-swap condition and
     closure of both halves under the right action of the 18 flag generators."""
     survivors = []
-    for bits in range(64):
-        holo = frozenset(LETTERS[k] for k in range(6) if bits & (1 << k))
+    for holo in candidate_splittings():
         if not satisfies_star_swap(holo):
             continue
         anti = frozenset(LETTERS) - holo
@@ -148,15 +155,14 @@ def check_integrability(foacs: Foacs, report=None) -> VerificationReport:
                "[1, 3, 3, 1]", str(dims))
 
     extras = integrability_data(foacs)
-    pivots = {}
-    for vec in extras.values():
-        row = {k: c for k, c in enumerate(vec.components) if not c.is_zero()}
-        flagext._insert_pivot(row, pivots)
+    rank = linalg.rank(
+        {k: c for k, c in enumerate(vec.components) if not c.is_zero()}
+        for vec in extras.values())
     report.add("extra-generators-span[%s]" % tag, "Prop 5.4",
                "cosets of extra generators span the holomorphic side (rank 3)",
-               "rank %d from %s" % (len(pivots), sorted(
+               "rank %d from %s" % (rank, sorted(
                    "z%d_%d%d" % key for key in extras)),
-               passed=len(pivots) == 3)
+               passed=rank == 3)
 
     anti_slots = sorted(anti_indices)
     for key in sorted(extras):
@@ -184,28 +190,6 @@ def _wedge_vector(algebra, i, j, basis_index):
     return {basis_index[w]: c for w, c in nf.terms.items()}
 
 
-def _block_rank(rows):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = row[lead]
-                pivots[lead] = {j: c / inv for j, c in row.items()}
-                rank += 1
-                break
-            factor = row[lead]
-            for j, c in pivots[lead].items():
-                new = row.get(j, ZERO) - factor * c
-                if new.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = new
-    return rank
-
-
 def connection_space_dims():
     """(total, torsion-free) dimensions of the affine spaces of covariant
     connections, by weight multiplicity counting and exact kernel ranks."""
@@ -225,7 +209,7 @@ def connection_space_dims():
     torsion_free = 0
     for w, pairs in blocks.items():
         rows = [_wedge_vector(algebra, i, j, basis_index) for (i, j) in pairs]
-        kdim = len(pairs) - _block_rank(rows)
+        kdim = len(pairs) - linalg.rank(rows)
         kernel_total += kdim
         torsion_free += kdim * sum(1 for g in weights if g == w)
     return total, torsion_free, kernel_total
@@ -251,7 +235,7 @@ def connection_space_dims_oracle():
         by_target = {}
         for target, col, coeff in rows:
             by_target.setdefault(target, {})[col] = coeff
-        torsion_free += len(matching) - _block_rank(list(by_target.values()))
+        torsion_free += len(matching) - linalg.rank(by_target.values())
     return total, torsion_free
 
 
@@ -328,33 +312,42 @@ def centrality_witness_value() -> NCPolynomial:
         algebra, qpair.right_act_deg2(tensor, qpair.u_monomial(*CENTRALITY_WITNESS_WORD)))
 
 
-def kahler_form(c1, c2, c3) -> NCPolynomial:
-    algebra = flagext.build_relations()
-    word = algebra.alphabet.word
-    return (algebra.monomial(word("f_a1", "e_a1"), c1)
-            + algebra.monomial(word("f_a2", "e_a2"), c2)
-            + algebra.monomial(word("f_a12", "e_a12"), c3))
+def kahler_cube():
+    """The cube of the general coinvariant 2-form c1 f_a1^e_a1 + c2 f_a2^e_a2
+    + c3 f_a12^e_a12, expanded by multilinearity.
 
-
-def kahler_cube(symbolic=True, values=None):
-    """The cube of the general coinvariant 2-form.
-
-    Returns (top coefficient, divisibility-by-c1 verdict).  With symbolic
-    coefficients the result is a polynomial in c1, c2, c3; otherwise the
-    numeric values are substituted exactly.
+    Returns (cube, divisible_by_c1): cube maps each exponent triple of
+    (c1, c2, c3) to its nonzero top-word coefficient, and the verdict says
+    whether every such monomial contains c1.
     """
     algebra = flagext.build_relations()
-    if symbolic:
-        c1, c2, c3 = (Coefficient.symbol(s) for s in ("c1", "c2", "c3"))
-    else:
-        c1, c2, c3 = (Coefficient.from_rational(v) for v in values)
-    form = kahler_form(c1, c2, c3)
-    cube = algebra.system.normal_form(form * form * form)
-    stray = [w for w in cube.terms if w != algebra.top_word]
-    if stray:
-        raise AssertionError("cube has terms off the top word: %s" % stray)
-    top = cube.terms.get(algebra.top_word, ZERO)
-    return top, top.is_divisible_by_symbol("c1")
+    words = [algebra.alphabet.word(*pair) for pair in COINVARIANT_2FORMS]
+    zero = NCPolynomial.zero(algebra.alphabet)
+    sums = {}
+    for factors in product(range(3), repeat=3):
+        exps = tuple(factors.count(k) for k in range(3))
+        term = algebra.monomial(sum((words[k] for k in factors), ()))
+        sums[exps] = sums.get(exps, zero) + term
+    cube = {}
+    for exps, poly in sorted(sums.items()):
+        nf = algebra.system.normal_form(poly)
+        stray = [w for w in nf.terms if w != algebra.top_word]
+        if stray:
+            raise AssertionError("cube has terms off the top word: %s" % stray)
+        if algebra.top_word in nf.terms:
+            cube[exps] = nf.terms[algebra.top_word]
+    return cube, all(exps[0] > 0 for exps in cube)
+
+
+def cube_at(cube, values) -> Coefficient:
+    """The top coefficient of the cube at exact rational values of c1, c2, c3."""
+    total = ZERO
+    for exps, coeff in cube.items():
+        scalar = Fraction(1)
+        for value, exp in zip(values, exps):
+            scalar *= Fraction(value) ** exp
+        total = total + coeff * Coefficient.from_rational(scalar)
+    return total
 
 
 def no_covariant_kahler(report=None) -> VerificationReport:
@@ -371,12 +364,12 @@ def no_covariant_kahler(report=None) -> VerificationReport:
                if verdicts == {"f_a1^e_a1": False, "f_a2^e_a2": True,
                                "f_a12^e_a12": True}
                else str(verdicts))
-    top, divisible = kahler_cube(symbolic=True)
+    cube, divisible = kahler_cube()
     report.add("cube-divisible-by-c1", "Lemma 6.5", "True", str(divisible))
-    at_zero = top.substitute_symbols([0, 1, 1])
+    at_zero = cube_at(cube, (0, 1, 1))
     report.add("cube-vanishes-on-central-locus", "Lemma 6.5",
                "0", at_zero.render())
-    at_ones = top.substitute_symbols([1, 1, 1])
+    at_ones = cube_at(cube, (1, 1, 1))
     report.add("nondegenerate-forms-exist-without-centrality", "Lemma 6.5",
                "nonzero", "nonzero" if not at_ones.is_zero() else "0")
     report.add("central-nondegenerate-empty", "Thm 6.6",

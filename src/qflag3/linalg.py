@@ -1,0 +1,68 @@
+"""Exact sparse linear algebra over Q(q): reduction against pivot rows, rank,
+and the solution of square systems.
+
+A row is a dict from an orderable column key to a nonzero Coefficient.  A
+pivot set maps each leading column (the least key of its row) to that row,
+scaled to 1 there; distinct rows have distinct leading columns.
+"""
+
+from __future__ import annotations
+
+from .scalar import ZERO
+
+
+def reduce(row, pivots) -> dict:
+    """The remainder of the row after eliminating, lead by lead, every leading
+    column that has a pivot; a new dict, empty iff the row is in their span."""
+    row = dict(row)
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return row
+        factor = row[lead]
+        for j, c in pivot.items():
+            new = row.get(j, ZERO) - factor * c
+            if new.is_zero():
+                row.pop(j, None)
+            else:
+                row[j] = new
+    return row
+
+
+def insert_pivot(row, pivots) -> bool:
+    """Add the row's remainder to the pivot set; False if the row is dependent."""
+    rem = reduce(row, pivots)
+    if not rem:
+        return False
+    lead = min(rem)
+    inv = rem[lead]
+    pivots[lead] = {j: c / inv for j, c in rem.items()}
+    return True
+
+
+def rank(rows) -> int:
+    """The dimension of the span of the rows."""
+    pivots = {}
+    return sum(1 for row in rows if insert_pivot(row, pivots))
+
+
+def solve(matrix, rhs):
+    """The x with matrix . x = rhs for a square matrix; None if it is singular."""
+    n = len(matrix)
+    pivots = {}
+    for entries, value in zip(matrix, rhs):
+        row = {j: c for j, c in enumerate(entries) if not c.is_zero()}
+        if not value.is_zero():
+            row[n] = value
+        insert_pivot(row, pivots)
+    if any(j not in pivots for j in range(n)):
+        return None
+    x = [ZERO] * n
+    for i in reversed(range(n)):
+        value = pivots[i].get(n, ZERO)
+        for j, c in pivots[i].items():
+            if i < j < n:
+                value = value - c * x[j]
+        x[i] = value
+    return x

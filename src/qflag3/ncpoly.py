@@ -42,6 +42,16 @@ class Alphabet:
         return ".".join(self.letters[i] for i in word)
 
 
+def _add_term(terms, key, value):
+    """Add value into terms[key], dropping the entry if it cancels."""
+    old = terms.get(key)
+    new = value if old is None else old + value
+    if new.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = new
+
+
 class NCPolynomial:
     """Finite linear combination of words with Coefficient coefficients."""
 
@@ -70,12 +80,7 @@ class NCPolynomial:
     def __add__(self, other):
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            new = terms.get(word)
-            new = coeff if new is None else new + coeff
-            if new.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = new
+            _add_term(terms, word, coeff)
         result = NCPolynomial.__new__(NCPolynomial)
         result.alphabet, result.terms = self.alphabet, terms
         return result
@@ -94,14 +99,7 @@ class NCPolynomial:
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                word = w1 + w2
-                prod = c1 * c2
-                old = terms.get(word)
-                new = prod if old is None else old + prod
-                if new.is_zero():
-                    terms.pop(word, None)
-                else:
-                    terms[word] = new
+                _add_term(terms, w1 + w2, c1 * c2)
         result = NCPolynomial.__new__(NCPolynomial)
         result.alphabet, result.terms = self.alphabet, terms
         return result
@@ -119,13 +117,6 @@ class NCPolynomial:
 
     def __hash__(self):
         return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
-
-    def degree(self):
-        """Degree of a homogeneous polynomial (errors if mixed)."""
-        degrees = {len(w) for w in self.terms}
-        if len(degrees) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degrees.pop() if degrees else 0
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
@@ -211,21 +202,11 @@ class ReductionSystem:
                 hit = self._nf_cache.get(current)
                 if hit is not None:
                     for w, c in hit.items():
-                        new = acc.get(w)
-                        new = coeff * c if new is None else new + coeff * c
-                        if new.is_zero():
-                            acc.pop(w, None)
-                        else:
-                            acc[w] = new
+                        _add_term(acc, w, coeff * c)
                     continue
             pos = self._first_reducible(current)
             if pos is None:
-                old = acc.get(current)
-                new = coeff if old is None else old + coeff
-                if new.is_zero():
-                    acc.pop(current, None)
-                else:
-                    acc[current] = new
+                _add_term(acc, current, coeff)
                 continue
             rule = self._by_lhs[current[pos:pos + 2]]
             prefix, suffix = current[:pos], current[pos + 2:]
@@ -238,13 +219,7 @@ class ReductionSystem:
         total = {}
         for word, coeff in poly.terms.items():
             for w, c in self._nf_word(word).items():
-                prod = coeff * c
-                old = total.get(w)
-                new = prod if old is None else old + prod
-                if new.is_zero():
-                    total.pop(w, None)
-                else:
-                    total[w] = new
+                _add_term(total, w, coeff * c)
         return NCPolynomial(self.alphabet, total)
 
     def multiply(self, p: NCPolynomial, r: NCPolynomial) -> NCPolynomial:

@@ -442,18 +442,3 @@ def all_flag_generators():
     """The eighteen generators z^{alpha_p}_{ab}, keyed (p, a, b)."""
     return {(p, a, b): flag_generator(p, a, b)
             for p in (1, 2) for a in (1, 2, 3) for b in (1, 2, 3)}
-
-
-def u_poly_weight(poly: NCPolynomial):
-    """Common fundamental-weight grading of all words (None if mixed)."""
-    weights = set()
-    for word in poly.terms:
-        total = (0, 0)
-        for letter in word:
-            j = divmod(letter, 3)[1] + 1
-            w = rootdata.column_weight(j)
-            total = (total[0] + w[0], total[1] + w[1])
-        weights.add(total)
-    if len(weights) > 1:
-        return None
-    return weights.pop() if weights else (0, 0)

@@ -1,5 +1,5 @@
-"""The A2 root system in epsilon-coordinates: inner products, the convex
-order alpha2 < alpha1+alpha2 < alpha1, root-sum bookkeeping, and the weight
+"""The A2 root system in epsilon-coordinates: inner products, the positive
+roots in the convex order alpha2 < alpha1+alpha2 < alpha1, and the weight
 assignment for the six cotangent generators.
 """
 
@@ -14,8 +14,6 @@ EPSILON = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # positive roots in convex order induced by the reduced word s2 s1 s2
 POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
 ALL_ROOTS = POSITIVE_ROOTS + tuple(tuple(-x for x in r) for r in POSITIVE_ROOTS)
-
-CARTAN_MATRIX = ((2, -1), (-1, 2))
 
 # letter names of the cotangent alphabet, in rank order; every rule of the
 # exterior algebra is strictly decreasing for this ranking
@@ -41,19 +39,6 @@ def is_root(v) -> bool:
     return tuple(v) in ALL_ROOTS
 
 
-def is_positive_root(v) -> bool:
-    return tuple(v) in POSITIVE_ROOTS
-
-
-def convex_compare(beta, gamma) -> int:
-    """-1, 0, or 1 according to the convex order on positive roots."""
-    beta, gamma = tuple(beta), tuple(gamma)
-    if beta not in POSITIVE_ROOTS or gamma not in POSITIVE_ROOTS:
-        raise ValueError("convex order is defined on positive roots only")
-    i, j = POSITIVE_ROOTS.index(beta), POSITIVE_ROOTS.index(gamma)
-    return (i > j) - (i < j)
-
-
 def generator_weight(letter: str):
     """Root-lattice weight of a cotangent letter: e_gamma -> gamma, f_gamma -> -gamma."""
     try:
@@ -71,26 +56,3 @@ def word_weight(word, alphabet=None):
         letter = LETTERS[index] if alphabet is None else alphabet.letters[index]
         total = add(total, generator_weight(letter))
     return total
-
-
-def root_sum_table():
-    """All 36 ordered sums of roots with their is-a-root flags.
-
-    Rows and columns run over alpha1, alpha2, alpha1+alpha2 and their
-    negatives, in that order.
-    """
-    order = (ALPHA1, ALPHA2, THETA,
-             negate(ALPHA1), negate(ALPHA2), negate(THETA))
-    return [[(add(r, c), is_root(add(r, c))) for c in order] for r in order]
-
-
-# fundamental-weight coordinates: alpha1 = 2w1 - w2, alpha2 = -w1 + 2w2
-FUNDAMENTAL = {"alpha1": (2, -1), "alpha2": (-1, 2)}
-
-# P+-grading of the quantum coordinate generators by column: -w1, w1-w2, w2
-COLUMN_WEIGHTS = ((-1, 0), (1, -1), (0, 1))
-
-
-def column_weight(j: int):
-    """Fundamental-weight grading of a generator in column j (1-based)."""
-    return COLUMN_WEIGHTS[j - 1]

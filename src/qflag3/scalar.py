@@ -1,6 +1,5 @@
-"""Exact coefficient arithmetic: Laurent polynomials in q over the rationals,
-their field of fractions, and an optional polynomial extension by the three
-commuting symbols c1, c2, c3.
+"""Exact coefficient arithmetic: Laurent polynomials in q over the rationals
+and their field of fractions Q(q), the one coefficient type of the package.
 
 Everything here is exact (fractions.Fraction); equality is decidable and all
 values are immutable after construction.
@@ -9,8 +8,6 @@ values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-
-SYMBOLS = ("c1", "c2", "c3")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,13 +66,6 @@ class LaurentPoly:
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.max_exp()]
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return _ZERO
-        if not self.is_const():
-            raise ValueError("not a constant: %s" % self)
-        return self.terms[0]
 
     def evaluate_at_one(self) -> Fraction:
         return sum(self.terms.values(), _ZERO)
@@ -227,12 +217,11 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly.zero()
 _LP_ONE = LaurentPoly.const(1)
-_NO_SYMS = (0, 0, 0)
 
 
 class Coefficient:
-    """An element of Q(q)[c1, c2, c3]: a polynomial in the commuting symbols
-    with Laurent-polynomial coefficients, over a common denominator in Q[q].
+    """An element of Q(q): a Laurent-polynomial numerator over a denominator
+    in Q[q].
 
     The denominator is canonical: lowest q-exponent 0, integer primitive with
     positive leading coefficient, and no common polynomial factor with the
@@ -241,9 +230,7 @@ class Coefficient:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=None, den=None):
-        num = dict(num) if num else {}
-        den = den if den is not None else _LP_ONE
+    def __init__(self, num=_LP_ZERO, den=_LP_ONE):
         self.num, self.den = _canonicalize(num, den)
 
     # -- constructors ------------------------------------------------------
@@ -258,60 +245,27 @@ class Coefficient:
 
     @staticmethod
     def from_rational(value) -> "Coefficient":
-        return Coefficient({_NO_SYMS: LaurentPoly.const(value)})
-
-    @staticmethod
-    def from_laurent(poly: LaurentPoly) -> "Coefficient":
-        return Coefficient({_NO_SYMS: poly})
+        return Coefficient(LaurentPoly.const(value))
 
     @staticmethod
     def q_power(exp: int) -> "Coefficient":
-        return Coefficient({_NO_SYMS: LaurentPoly.q_power(exp)})
+        return Coefficient(LaurentPoly.q_power(exp))
 
     @staticmethod
     def nu() -> "Coefficient":
-        return Coefficient({_NO_SYMS: LaurentPoly.nu()})
-
-    @staticmethod
-    def symbol(name: str) -> "Coefficient":
-        mono = [0, 0, 0]
-        mono[SYMBOLS.index(name)] = 1
-        return Coefficient({tuple(mono): _LP_ONE})
+        return Coefficient(LaurentPoly.nu())
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
-
-    def has_symbols(self) -> bool:
-        return any(mono != _NO_SYMS for mono in self.num)
-
-    def is_divisible_by_symbol(self, name: str) -> bool:
-        """True iff every numerator monomial contains the symbol (0 counts)."""
-        idx = SYMBOLS.index(name)
-        return all(mono[idx] > 0 for mono in self.num)
+        return not self.num.terms
 
     def evaluate_at_one(self) -> Fraction:
-        """The exact rational value at q = 1; errors on poles and c-symbols."""
-        if self.has_symbols():
-            raise ValueError("cannot evaluate at q=1: c-symbols present")
+        """The exact rational value at q = 1; errors on a pole there."""
         den_at_one = self.den.evaluate_at_one()
         if den_at_one == 0:
             raise ZeroDivisionError("pole at q = 1")
-        if self.is_zero():
-            return _ZERO
-        return self.num[_NO_SYMS].evaluate_at_one() / den_at_one
-
-    def substitute_symbols(self, values) -> "Coefficient":
-        """Replace c1, c2, c3 by exact rational values."""
-        values = tuple(Fraction(v) for v in values)
-        total = _LP_ZERO
-        for mono, poly in self.num.items():
-            scalar = _ONE
-            for sym_exp, value in zip(mono, values):
-                scalar *= value ** sym_exp
-            total = total + poly.scale(scalar)
-        return Coefficient({_NO_SYMS: total}, self.den)
+        return self.num.evaluate_at_one() / den_at_one
 
     # -- arithmetic --------------------------------------------------------
 
@@ -321,17 +275,14 @@ class Coefficient:
         if other.is_zero():
             return self
         if self.den == other.den:
-            num = dict(self.num)
-            for mono, poly in other.num.items():
-                num[mono] = num.get(mono, _LP_ZERO) + poly
-            return Coefficient(num, self.den)
-        num = {mono: poly * other.den for mono, poly in self.num.items()}
-        for mono, poly in other.num.items():
-            num[mono] = num.get(mono, _LP_ZERO) + poly * self.den
-        return Coefficient(num, self.den * other.den)
+            return Coefficient(self.num + other.num, self.den)
+        return Coefficient(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
 
     def __neg__(self):
-        return Coefficient({mono: -poly for mono, poly in self.num.items()}, self.den)
+        result = Coefficient.__new__(Coefficient)
+        result.num, result.den = -self.num, self.den
+        return result
 
     def __sub__(self, other):
         return self + (-other)
@@ -339,21 +290,12 @@ class Coefficient:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return _C_ZERO
-        num = {}
-        for mono1, poly1 in self.num.items():
-            for mono2, poly2 in other.num.items():
-                mono = tuple(a + b for a, b in zip(mono1, mono2))
-                prod = poly1 * poly2
-                num[mono] = num.get(mono, _LP_ZERO) + prod
-        return Coefficient(num, self.den * other.den)
+        return Coefficient(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division of coefficients by zero")
-        if other.has_symbols():
-            raise ValueError("division by coefficients containing c-symbols unsupported")
-        num = {mono: poly * other.den for mono, poly in self.num.items()}
-        return Coefficient(num, self.den * other.num[_NO_SYMS])
+        return Coefficient(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
@@ -361,41 +303,15 @@ class Coefficient:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset((m, hash(p)) for m, p in self.num.items()), hash(self.den)))
+        return hash((self.num, self.den))
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for mono in sorted(self.num, reverse=True):
-            poly = self.num[mono]
-            sym = "*".join(
-                name if exp == 1 else "%s^%d" % (name, exp)
-                for name, exp in zip(SYMBOLS, mono) if exp
-            )
-            if not sym:
-                parts.append(poly.render())
-            elif len(poly.terms) == 1:
-                ((exp, coeff),) = poly.terms.items()
-                body = sym
-                if exp:
-                    body += "*q" if exp == 1 else "*q^%d" % exp
-                if coeff == 1:
-                    parts.append(body)
-                elif coeff == -1:
-                    parts.append("-" + body)
-                else:
-                    parts.append("%s*%s" % (coeff, body))
-            else:
-                parts.append("(%s)*%s" % (poly.render(), sym))
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
+        text = self.num.render()
         if self.den == _LP_ONE:
             return text
-        num_text = "(%s)" % text if (len(parts) > 1 or " " in text) else text
+        num_text = "(%s)" % text if " " in text else text
         den_text = self.den.render()
         if len(self.den.terms) > 1:
             den_text = "(%s)" % den_text
@@ -407,24 +323,21 @@ class Coefficient:
 
 def _canonicalize(num, den):
     """Reduce to the canonical numerator/denominator pair."""
-    num = {mono: poly for mono, poly in num.items() if not poly.is_zero()}
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    if not num:
-        return {}, _LP_ONE
-    common = den
-    for poly in num.values():
-        if common.is_const() and not common.is_zero():
-            break
-        common = LaurentPoly.gcd(common, poly)
-    if not common.is_const():
-        den = den.divide_exact(common)
-        num = {mono: poly.divide_exact(common) for mono, poly in num.items()}
+    if num.is_zero():
+        return _LP_ZERO, _LP_ONE
+    # a one-term denominator c*q^k has no polynomial factor to cancel
+    if len(den.terms) > 1:
+        common = LaurentPoly.gcd(den, num)
+        if not common.is_const():
+            den = den.divide_exact(common)
+            num = num.divide_exact(common)
     # move the q-power unit of the denominator into the numerator
     lo = den.min_exp()
     if lo:
         den = den.shift(-lo)
-        num = {mono: poly.shift(-lo) for mono, poly in num.items()}
+        num = num.shift(-lo)
     # integer-primitive denominator with positive leading coefficient
     scale = _content(den)
     if den.leading_coeff() < 0:
@@ -432,7 +345,7 @@ def _canonicalize(num, den):
     if scale != 1:
         inv = 1 / scale
         den = den.scale(inv)
-        num = {mono: poly.scale(inv) for mono, poly in num.items()}
+        num = num.scale(inv)
     if den == _LP_ONE:
         return num, _LP_ONE
     return num, den
@@ -454,20 +367,7 @@ def _int_gcd(a, b):
 
 
 _C_ZERO = Coefficient()
-_C_ONE = Coefficient({_NO_SYMS: _LP_ONE})
+_C_ONE = Coefficient(_LP_ONE)
 
 ZERO = _C_ZERO
 ONE = _C_ONE
-
-
-def arith(a: Coefficient, b: Coefficient, op: str) -> Coefficient:
-    """Dispatch table used by callers that carry the operation as data."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown operation %r" % op)

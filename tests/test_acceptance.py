@@ -21,7 +21,7 @@ assume; in particular degree 6 is zero and there is no Frobenius pairing.
 
 from fractions import Fraction
 
-from qflag3 import flagext, geometry, qpair
+from qflag3 import flagext, geometry, linalg, qpair
 from qflag3.flagext import associated_graded, build_relations
 from qflag3.ncpoly import quotient_dimension_by_elimination
 from qflag3.scalar import Coefficient, ONE
@@ -91,7 +91,7 @@ def test_criterion_04_nakayama():
         if not flagext.is_generalized_permutation(matrix):
             perm_fail.append(degree)
         rhs = [ONE] + [Coefficient.zero()] * (len(matrix) - 1)
-        invertible = invertible and flagext._solve_linear(matrix, rhs) is not None
+        invertible = invertible and linalg.solve(matrix, rhs) is not None
     _criterion(4, "nakayama",
                eigen_ok and invertible and not perm_fail,
                "eigenvalues %s; permutation property fails in degrees %s"
@@ -142,8 +142,8 @@ def test_criterion_09_kahler_obstruction():
     witness = geometry.centrality_witness_value()
     witness_ok = witness == algebra.monomial(
         algebra.alphabet.word("f_a12", "e_a12"), Q(-2) * NU * NU)
-    top, divisible = geometry.kahler_cube(symbolic=True)
-    cube_ok = divisible and top.substitute_symbols([0, 1, 1]).is_zero()
+    cube, divisible = geometry.kahler_cube()
+    cube_ok = divisible and geometry.cube_at(cube, (0, 1, 1)).is_zero()
     verdict = geometry.no_covariant_kahler().overall
     _criterion(9, "kahler-obstruction",
                coinv_ok and central_ok and witness_ok and cube_ok and verdict,
@@ -153,7 +153,7 @@ def test_criterion_09_kahler_obstruction():
 
 def test_criterion_10_classical_limit():
     report = flagext.classical_limit_check(build_relations())
-    top, _ = geometry.kahler_cube(symbolic=False, values=(1, 1, 1))
+    top = geometry.cube_at(geometry.kahler_cube()[0], (1, 1, 1))
     _criterion(10, "classical-limit",
                report.overall and top.evaluate_at_one() != 0,
                "rules %s, cube value %s"
@@ -169,7 +169,7 @@ def _diamond_dimension(system, degree):
             via_left, via_right = system.resolve_ambiguity(triple, left, right)
             difference = (via_left - via_right).terms
             if difference:
-                flagext._insert_pivot(difference, pivots)
+                linalg.insert_pivot(difference, pivots)
     return len(system.irreducible_words(degree)) - len(pivots)
 
 

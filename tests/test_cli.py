@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 CMD = [sys.executable, "-m", "qflag3"]
+RECORDED_REPORT = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -62,6 +64,15 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["suite"] == "connections"
 
 
+def test_unwritable_out_file_is_an_io_error():
+    result = run_cli("verify", "connections", "--out",
+                     os.path.join(os.devnull, "report.json"))
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("qflag3: cannot write ")
+    assert "Traceback" not in result.stderr
+
+
 def test_basis_listing():
     result = run_cli("basis", "--degree", "2")
     assert result.returncode == 0
@@ -109,3 +120,8 @@ def test_verify_all_reports_every_suite():
     assert by_suite["acs"] and by_suite["connections"]
     assert by_suite["integrability"] and by_suite["kahler"]
     assert not by_suite["confluence"]
+
+
+def test_verify_all_json_matches_recorded_report():
+    result = run_cli("verify", "all", "--format", "json")
+    assert result.stdout == RECORDED_REPORT.read_text(encoding="utf-8")

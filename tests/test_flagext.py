@@ -1,6 +1,6 @@
 import pytest
 
-from qflag3 import flagext, qpair
+from qflag3 import flagext, linalg, qpair
 from qflag3.flagext import (associated_graded, build_relations,
                             derive_relations_via_omega, frobenius,
                             frobenius_matrix, integral,
@@ -95,7 +95,7 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
     polys = [zs[k] for k in keys] + [zs[a] * zs[b] for a in keys for b in keys]
     span = {}
     for poly in polys:
-        flagext._insert_pivot(poly.terms, span)
+        linalg.insert_pivot(poly.terms, span)
     assert len(span) == 342
     # eliminate the rows (counit, coset | omega) with the seven kernel columns
     # first: the pivots leading past them span omega of the kernel.  omega is
@@ -107,20 +107,20 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
             if not c.is_zero()}
         for j, c in flagext.omega_vector(qpair.omega(qpair.plus_part(poly))).items():
             row[7 + j] = c
-        flagext._insert_pivot(row, stacked)
+        linalg.insert_pivot(row, stacked)
     assert len(span) - sum(1 for lead in stacked if lead < 7) == 335
 
     derived = {}
     for lead, row in stacked.items():
         if lead >= 7:
-            flagext._insert_pivot({j - 7: c for j, c in row.items()}, derived)
+            linalg.insert_pivot({j - 7: c for j, c in row.items()}, derived)
     encoded_vectors = flagext.encoded_relation_vectors(algebra)
     encoded = {}
     for vec in encoded_vectors:
-        flagext._insert_pivot(vec, encoded)
+        linalg.insert_pivot(vec, encoded)
     assert len(derived) == len(encoded) == 21
-    assert not any(flagext._reduce_against(vec, derived) for vec in encoded_vectors)
-    assert not any(flagext._reduce_against(vec, encoded) for vec in derived.values())
+    assert not any(linalg.reduce(vec, derived) for vec in encoded_vectors)
+    assert not any(linalg.reduce(vec, encoded) for vec in derived.values())
 
     # the span is closed under the right action, so with omega(x b) =
     # omega(x) . b for x in the kernel it also holds omega of the right ideal
@@ -130,7 +130,7 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
                        for r in range(6))
         for key in keys:
             moved = qpair.right_act_deg2(tensor, zs[key])
-            assert not flagext._reduce_against(flagext.omega_vector(moved), encoded), key
+            assert not linalg.reduce(flagext.omega_vector(moved), encoded), key
 
 
 def test_ideal_generator_families():
@@ -229,7 +229,7 @@ def test_pairing_invertible_everywhere_but_permutation_only_outside_middle():
     for degree in range(7):
         _, _, matrix = frobenius_matrix(algebra, degree)
         rhs = [ONE] + [ZERO] * (len(matrix) - 1)
-        assert flagext._solve_linear(matrix, rhs) is not None
+        assert linalg.solve(matrix, rhs) is not None
         if is_generalized_permutation(matrix):
             permutation_degrees.append(degree)
     # degrees 2..4 acquire extra nonzero pairings from the degree-3 collapse

@@ -5,8 +5,8 @@ from qflag3.geometry import (Foacs, STRUCTURE_I, STRUCTURE_II,
                              centrality_verdicts, centrality_witness_value,
                              check_bigrading, check_integrability,
                              coinvariant_forms, connection_space_dims,
-                             connection_space_dims_oracle, enumerate_foacs,
-                             kahler_cube, no_covariant_kahler)
+                             connection_space_dims_oracle, cube_at,
+                             enumerate_foacs, kahler_cube, no_covariant_kahler)
 from qflag3.scalar import Coefficient
 
 Q = Coefficient.q_power
@@ -110,18 +110,19 @@ def test_centrality():
 
 
 def test_kahler_cube_symbolic():
-    top, divisible = kahler_cube(symbolic=True)
+    cube, divisible = kahler_cube()
     assert divisible
-    assert top.substitute_symbols([0, 1, 1]).is_zero()
-    assert top.substitute_symbols([0, Fraction(2, 3), 5]).is_zero()
-    assert not top.substitute_symbols([1, 1, 1]).is_zero()
+    assert cube_at(cube, [0, 1, 1]).is_zero()
+    assert cube_at(cube, [0, Fraction(2, 3), 5]).is_zero()
+    assert not cube_at(cube, [1, 1, 1]).is_zero()
 
 
 def test_kahler_cube_numeric_and_classical():
-    top, _ = kahler_cube(symbolic=False, values=(1, 1, 1))
+    cube, _ = kahler_cube()
+    top = cube_at(cube, (1, 1, 1))
     assert not top.is_zero()
     assert top.evaluate_at_one() == -6
-    zero_top, _ = kahler_cube(symbolic=False, values=(0, 1, 1))
+    zero_top = cube_at(cube, (0, 1, 1))
     assert zero_top.is_zero()
 
 

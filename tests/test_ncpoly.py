@@ -161,9 +161,8 @@ def _specialized_rank(system, qval):
     from fractions import Fraction
 
     def evaluate(coeff):
-        num = coeff.num.get((0, 0, 0))
-        numerator = sum((c * qval ** e for e, c in num.terms.items()),
-                        Fraction(0)) if num else Fraction(0)
+        numerator = sum((c * qval ** e for e, c in coeff.num.terms.items()),
+                        Fraction(0))
         denominator = sum((c * qval ** e for e, c in coeff.den.terms.items()),
                           Fraction(0))
         return numerator / denominator

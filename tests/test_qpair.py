@@ -221,11 +221,11 @@ def test_right_act_deg2_identity_and_centrality():
 
 def test_omega_right_ideal_property_samples():
     # omega of generator * flag-generator products stays in the relation span
-    from qflag3 import flagext
+    from qflag3 import flagext, linalg
     algebra = flagext.build_relations()
     pivots = {}
     for vec in flagext.encoded_relation_vectors(algebra):
-        flagext._insert_pivot(dict(vec), pivots)
+        linalg.insert_pivot(vec, pivots)
     gens = dict(flagext.ideal_generators())
     rng = random.Random(17)
     sample_gens = rng.sample(sorted(gens), 5)
@@ -234,4 +234,4 @@ def test_omega_right_ideal_property_samples():
         for key in rng.sample(zs, 3):
             product = gens[label] * all_flag_generators()[key]
             vec = flagext.omega_vector(omega(product))
-            assert not flagext._reduce_against(vec, pivots), (label, key)
+            assert not linalg.reduce(vec, pivots), (label, key)

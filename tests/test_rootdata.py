@@ -1,9 +1,8 @@
 import pytest
 
 from qflag3 import qpair, rootdata
-from qflag3.rootdata import (ALPHA1, ALPHA2, THETA, convex_compare,
-                             generator_weight, inner_product, is_root,
-                             root_sum_table, word_weight)
+from qflag3.rootdata import (ALPHA1, ALPHA2, THETA, generator_weight,
+                             inner_product, is_root, word_weight)
 
 
 def test_inner_products_match_cartan_matrix():
@@ -27,14 +26,6 @@ def test_is_root():
     assert not is_root((0, 0, 0))
 
 
-def test_convex_order():
-    assert convex_compare(ALPHA2, ALPHA1) == -1
-    assert convex_compare(THETA, THETA) == 0
-    assert convex_compare(ALPHA1, THETA) == 1
-    with pytest.raises(ValueError):
-        convex_compare(ALPHA1, rootdata.negate(ALPHA1))
-
-
 def test_generator_weights():
     assert generator_weight("e_a1") == ALPHA1
     assert generator_weight("f_a1") == rootdata.negate(ALPHA1)
@@ -46,37 +37,29 @@ def test_generator_weights():
         rootdata.add(ALPHA1, rootdata.negate(ALPHA2))
 
 
-# the full 6x6 table of ordered root sums with is-a-root flags, rows and
-# columns running over a1, a2, a1+a2, -a1, -a2, -(a1+a2)
-TABLE_FLAGS = [
-    [False, True, False, False, False, True],
-    [True, False, False, False, False, True],
-    [False, False, False, True, True, False],
-    [False, False, True, False, True, False],
-    [False, False, True, True, False, False],
-    [True, True, False, False, False, False],
-]
+# P+-grading of the quantum coordinate generators by column: -w1, w1-w2, w2
+COLUMN_WEIGHTS = ((-1, 0), (1, -1), (0, 1))
 
 
-def test_root_sum_table_matches_reference():
-    table = root_sum_table()
-    flags = [[flag for (_, flag) in row] for row in table]
-    assert flags == TABLE_FLAGS
-    # spot-check two entries
-    assert table[0][1] == (THETA, True)
-    assert table[2][3] == (ALPHA2, True)
+def _column_weight(poly):
+    """Common fundamental-weight grading of all words (None if mixed)."""
+    weights = set()
+    for word in poly.terms:
+        total = (0, 0)
+        for letter in word:
+            w = COLUMN_WEIGHTS[letter % 3]
+            total = (total[0] + w[0], total[1] + w[1])
+        weights.add(total)
+    if len(weights) > 1:
+        return None
+    return weights.pop() if weights else (0, 0)
 
 
 def test_column_weights_sum_to_zero_on_flag_generators():
     for poly in qpair.all_flag_generators().values():
-        assert qpair.u_poly_weight(poly) == (0, 0)
+        assert _column_weight(poly) == (0, 0)
     # and on products of flag generators
     z1 = qpair.flag_generator(1, 2, 1)
     z2 = qpair.flag_generator(2, 3, 2)
-    assert qpair.u_poly_weight(z1 * z2) == (0, 0)
+    assert _column_weight(z1 * z2) == (0, 0)
 
-
-def test_fundamental_weight_conversion():
-    # alpha1 = 2w1 - w2 and alpha2 = -w1 + 2w2 reproduce the Cartan matrix
-    assert rootdata.FUNDAMENTAL["alpha1"] == (2, -1)
-    assert rootdata.FUNDAMENTAL["alpha2"] == (-1, 2)
