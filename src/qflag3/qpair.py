@@ -424,7 +424,7 @@ def antipode_word(i: int, j: int) -> NCPolynomial:
     with {k, l} and {m, n} the complements of {j} and {i} in increasing order."""
     k, l = sorted({1, 2, 3} - {j})
     m, n = sorted({1, 2, 3} - {i})
-    sign = Coefficient.from_rational((-1) ** (i - j)) * Coefficient.q_power(i - j)
+    sign = Coefficient.from_rational((-1) ** abs(i - j)) * Coefficient.q_power(i - j)
     first = u_monomial((k, m), (l, n), coeff=sign)
     second = u_monomial((k, n), (l, m), coeff=sign * (-Coefficient.q_power(1)))
     return first + second

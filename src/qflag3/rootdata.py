@@ -13,7 +13,6 @@ EPSILON = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # positive roots in convex order induced by the reduced word s2 s1 s2
 POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
-ALL_ROOTS = POSITIVE_ROOTS + tuple(tuple(-x for x in r) for r in POSITIVE_ROOTS)
 
 # letter names of the cotangent alphabet, in rank order; every rule of the
 # exterior algebra is strictly decreasing for this ranking
@@ -33,10 +32,6 @@ def negate(v):
 def inner_product(beta, gamma) -> int:
     """Euclidean pairing in epsilon-coordinates."""
     return sum(x * y for x, y in zip(beta, gamma))
-
-
-def is_root(v) -> bool:
-    return tuple(v) in ALL_ROOTS
 
 
 def generator_weight(letter: str):

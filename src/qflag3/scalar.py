@@ -1,23 +1,37 @@
 """Exact coefficient arithmetic: Laurent polynomials in q over the rationals
 and their field of fractions Q(q), the one coefficient type of the package.
 
-Everything here is exact (fractions.Fraction); equality is decidable and all
-values are immutable after construction.
+Everything here is exact; equality is decidable and all values are immutable
+after construction.  A term value of a LaurentPoly is a Python int whenever it
+is integral and a fractions.Fraction only when its denominator is greater than
+1, so the common coefficients (+-q^k, +-q^k*nu) never touch Fraction.  Floats
+are rejected.  Term values are divided only through Fraction, never int / int.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _term_value(value):
+    """The stored form of an exact rational: an int when integral, else a
+    Fraction."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError("inexact coefficient %r: use an int or a Fraction" % (value,))
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class LaurentPoly:
     """A Laurent polynomial in q with rational coefficients.
 
-    Stored as a map from integer q-exponent to a nonzero Fraction; the zero
-    polynomial has an empty map.
+    Stored as a map from integer q-exponent to a nonzero term value (an int,
+    or a Fraction with denominator greater than 1); the zero polynomial has an
+    empty map.
     """
 
     __slots__ = ("terms",)
@@ -26,7 +40,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _term_value(coeff)
                 if coeff:
                     clean[int(exp)] = coeff
         self.terms = clean
@@ -39,16 +53,16 @@ class LaurentPoly:
 
     @staticmethod
     def const(value) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(value)})
+        return LaurentPoly({0: value})
 
     @staticmethod
     def q_power(exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: _ONE})
+        return LaurentPoly({exp: 1})
 
     @staticmethod
     def nu() -> "LaurentPoly":
         """q - q^-1."""
-        return LaurentPoly({1: _ONE, -1: -_ONE})
+        return LaurentPoly({1: 1, -1: -1})
 
     # -- queries -----------------------------------------------------------
 
@@ -64,20 +78,20 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.terms)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.terms[self.max_exp()]
 
     def evaluate_at_one(self) -> Fraction:
-        return sum(self.terms.values(), _ZERO)
+        return sum(self.terms.values(), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            new = terms.get(exp, _ZERO) + coeff
+            new = terms.get(exp, 0) + coeff
             if new:
-                terms[exp] = new
+                terms[exp] = _term_value(new)
             else:
                 terms.pop(exp, None)
         result = LaurentPoly.__new__(LaurentPoly)
@@ -97,9 +111,9 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = e1 + e2
-                new = terms.get(exp, _ZERO) + c1 * c2
+                new = terms.get(exp, 0) + c1 * c2
                 if new:
-                    terms[exp] = new
+                    terms[exp] = _term_value(new)
                 else:
                     terms.pop(exp, None)
         result = LaurentPoly.__new__(LaurentPoly)
@@ -107,9 +121,10 @@ class LaurentPoly:
         return result
 
     def scale(self, value) -> "LaurentPoly":
-        value = Fraction(value)
+        value = _term_value(value)
         result = LaurentPoly.__new__(LaurentPoly)
-        result.terms = {e: c * value for e, c in self.terms.items()} if value else {}
+        result.terms = ({e: _term_value(c * value) for e, c in self.terms.items()}
+                        if value else {})
         return result
 
     def shift(self, k: int) -> "LaurentPoly":
@@ -130,7 +145,7 @@ class LaurentPoly:
         """Dense coefficient list after shifting the lowest exponent to 0."""
         lo = self.min_exp()
         hi = self.max_exp()
-        dense = [_ZERO] * (hi - lo + 1)
+        dense = [0] * (hi - lo + 1)
         for exp, coeff in self.terms.items():
             dense[exp - lo] = coeff
         return dense
@@ -143,13 +158,13 @@ class LaurentPoly:
     def _dense_divmod(a, b):
         a = list(a)
         db, lead = len(b) - 1, b[-1]
-        quot = [_ZERO] * max(len(a) - db, 1)
+        quot = [0] * max(len(a) - db, 1)
         while len(a) - 1 >= db and any(a):
             while a and not a[-1]:
                 a.pop()
             if len(a) - 1 < db:
                 break
-            factor = a[-1] / lead
+            factor = _term_value(Fraction(a[-1], lead))
             shift = len(a) - 1 - db
             quot[shift] = factor
             for i, c in enumerate(b):
@@ -187,7 +202,7 @@ class LaurentPoly:
     def monic(self) -> "LaurentPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_coeff()).shift(-self.min_exp())
+        return self.scale(Fraction(1, self.leading_coeff())).shift(-self.min_exp())
 
     # -- rendering -----------------------------------------------------------
 
@@ -274,6 +289,8 @@ class Coefficient:
             return other
         if other.is_zero():
             return self
+        if self.den is _LP_ONE and other.den is _LP_ONE:
+            return _over_one(self.num + other.num)
         if self.den == other.den:
             return Coefficient(self.num + other.num, self.den)
         return Coefficient(self.num * other.den + other.num * self.den,
@@ -290,6 +307,8 @@ class Coefficient:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return _C_ZERO
+        if self.den is _LP_ONE and other.den is _LP_ONE:
+            return _over_one(self.num * other.num)
         return Coefficient(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -327,6 +346,8 @@ def _canonicalize(num, den):
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return _LP_ZERO, _LP_ONE
+    if den.terms == _LP_ONE.terms:  # the fast path of + and * relies on this
+        return num, _LP_ONE
     # a one-term denominator c*q^k has no polynomial factor to cancel
     if len(den.terms) > 1:
         common = LaurentPoly.gcd(den, num)
@@ -351,19 +372,19 @@ def _canonicalize(num, den):
     return num, den
 
 
+def _over_one(num):
+    """The coefficient num / 1, built without _canonicalize, which returns an
+    equal pair for the denominator 1."""
+    result = Coefficient.__new__(Coefficient)
+    result.num, result.den = num, _LP_ONE
+    return result
+
+
 def _content(poly: LaurentPoly) -> Fraction:
     """Positive rational content: gcd of numerators over lcm of denominators."""
-    num_gcd, den_lcm = 0, 1
-    for coeff in poly.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(coeff.numerator))
-        den_lcm = den_lcm * coeff.denominator // _int_gcd(den_lcm, coeff.denominator)
-    return Fraction(num_gcd, den_lcm)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    values = poly.terms.values()
+    return Fraction(math.gcd(*(c.numerator for c in values)),
+                    math.lcm(*(c.denominator for c in values)))
 
 
 _C_ZERO = Coefficient()

@@ -101,3 +101,64 @@ def test_canonical_denominator(den, value):
     assert c.den.min_exp() == 0 and c.den.leading_coeff() > 0
     assert all(x.denominator == 1 for x in c.den.terms.values())
     assert c == Coefficient.from_rational(Fraction(value)) / Coefficient(den)
+
+
+# -- the stored form of term values ----------------------------------------------
+# A term value is an int when integral and a Fraction only when its denominator
+# is greater than 1; + and * of two coefficients over 1 skip _canonicalize.
+
+integer_laurent = st.dictionaries(
+    st.integers(-3, 3),
+    st.one_of(st.sampled_from([3, -3, 6, -6]), st.integers(-6, 6)),
+    max_size=4).map(LaurentPoly)
+nonzero_integer_laurent = integer_laurent.filter(lambda p: not p.is_zero())
+integer_coefficients = st.builds(Coefficient, integer_laurent, nonzero_integer_laurent)
+
+
+def _stored_exactly(*values):
+    polys = []
+    for value in values:
+        polys.extend([value.num, value.den] if isinstance(value, Coefficient) else [value])
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for poly in polys for c in poly.terms.values())
+
+
+@_SETTINGS
+@given(integer_laurent, integer_laurent)
+def test_laurent_arithmetic_keeps_integral_values_int(p, r):
+    assert _stored_exactly(p + r, p - r, p * r, -p, p.monic(), r.monic(),
+                           LaurentPoly.gcd(p, r))
+    if not r.is_zero():
+        assert _stored_exactly((p * r).divide_exact(r), LaurentPoly.gcd(p * r, r * r))
+
+
+@_SETTINGS
+@given(st.one_of(integer_coefficients, coefficients),
+       st.one_of(integer_coefficients, nonzero))
+def test_coefficient_arithmetic_keeps_the_stored_form(a, b):
+    assert _stored_exactly(a + b, a - b, a * b, -a)
+    if not b.is_zero():
+        assert _stored_exactly(a / b, b / a if not a.is_zero() else b)
+
+
+@_SETTINGS
+@given(integer_laurent, integer_laurent)
+def test_fast_path_equals_the_general_path(p, r):
+    a, b = Coefficient(p), Coefficient(r)
+    product, total = a * b, a + b
+    assert product == Coefficient(a.num * b.num, a.den * b.den)
+    assert total == Coefficient(a.num * b.den + b.num * a.den, a.den * b.den)
+    for fast in (product, total):
+        assert fast.den.terms == {0: 1} and fast.is_zero() == (not fast.num.terms)
+
+
+def test_monic_divides_a_non_unit_leading_coefficient_exactly():
+    assert LaurentPoly({0: 3, 1: 3}).monic() == LaurentPoly({0: 1, 1: 1})
+    assert LaurentPoly({0: 3, 1: 3}).monic().terms == {0: 1, 1: 1}
+    assert LaurentPoly({0: 1, 1: 3}).monic().terms == {0: Fraction(1, 3), 1: 1}
+
+
+def test_gcd_of_non_monic_integer_polynomials():
+    g = LaurentPoly.gcd(LaurentPoly({0: 3, 1: 3}), LaurentPoly({0: 6, 1: 6}))
+    assert g == LaurentPoly({0: 1, 1: 1})
+    assert g.terms == {0: 1, 1: 1}

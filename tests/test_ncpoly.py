@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag3.flagext import associated_graded, build_relations
 from qflag3.ncpoly import (Alphabet, NCPolynomial, ReductionSystem, RewriteRule,
                            quotient_dimension_by_elimination)
-from qflag3.scalar import Coefficient, ONE
+from qflag3.scalar import Coefficient, LaurentPoly, ONE
 
 Q = Coefficient.q_power
 
@@ -81,6 +82,34 @@ def test_normal_form_idempotent_and_linear():
         assert nf(p.scale(c)) == nf(p).scale(c)
 
 
+_ALGEBRA = build_relations()
+_words = st.lists(st.integers(0, 5), min_size=2, max_size=4).map(tuple)
+# mostly the coefficients the relations carry (+-q^k, nu), some with denominators
+_coefficients = st.one_of(
+    st.sampled_from([ONE, -ONE, Q(1), -Q(-2), Coefficient.nu()]),
+    st.builds(
+        Coefficient,
+        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(LaurentPoly),
+        st.sampled_from([LaurentPoly.const(1), LaurentPoly.const(2), LaurentPoly.nu(),
+                         LaurentPoly({0: 1, 1: 1})])))
+_polys = st.dictionaries(_words, _coefficients, max_size=4).map(
+    lambda terms: NCPolynomial(_ALGEBRA.alphabet, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _polys, _coefficients, _coefficients)
+def test_normal_form_is_linear(p, r, a, b):
+    nf = _ALGEBRA.system.normal_form
+    assert nf(p.scale(a) + r.scale(b)) == nf(p).scale(a) + nf(r).scale(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys)
+def test_normal_form_is_idempotent(p):
+    nf = _ALGEBRA.system.normal_form
+    assert nf(nf(p)) == nf(p)
+
+
 def test_confluent_product_association_independent():
     graded = associated_graded()
     rng = random.Random(9)
@@ -153,6 +182,13 @@ def test_elimination_oracle_flags_the_full_system_collapse():
     algebra = build_relations()
     assert quotient_dimension_by_elimination(algebra.system, 2) == 15
     assert quotient_dimension_by_elimination(algebra.system, 3) == 16
+
+
+def test_elimination_oracle_exact_series_after_the_collapse():
+    # ROADMAP item 2: the true quotient has dimensions 9 and 2 in degrees 4, 5
+    system = build_relations().system
+    assert quotient_dimension_by_elimination(system, 4) == 9
+    assert quotient_dimension_by_elimination(system, 5) == 2
 
 
 def _specialized_rank(system, qval):

@@ -93,3 +93,17 @@ def test_cross_multiplication_equality():
     a = (Q(2) - ONE) / (Q(1) + ONE)
     b = Q(1) - ONE  # (q^2-1)/(q+1) reduced
     assert a == b
+
+
+def test_float_coefficients_are_rejected():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.1})
+    with pytest.raises(TypeError):
+        LaurentPoly.nu().scale(0.5)
+    with pytest.raises(TypeError):
+        Coefficient.from_rational(-1.0)
+    assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
+    assert LaurentPoly({0: Fraction(4, 2)}).terms == {0: 2}
+    assert LaurentPoly.nu().scale(Fraction(1, 2)).terms == {1: Fraction(1, 2),
+                                                           -1: Fraction(-1, 2)}
