@@ -28,8 +28,8 @@ for label, poly in [
     print("  [%s] = %s" % (label, qpair.coset(poly).render()))
 
 print("\n== right module action ==")
-e_a1 = qpair.CotangentVector.basis("e_a1")
-f_a1 = qpair.CotangentVector.basis("f_a1")
+e_a1 = qpair.cotangent("e_a1")
+f_a1 = qpair.cotangent("f_a1")
 print("  e_a1 . u32 =", qpair.right_act(e_a1, qpair.u_monomial((3, 2))).render())
 print("  f_a1 . u23 =", qpair.right_act(f_a1, qpair.u_monomial((2, 3))).render())
 print("  e_a1 . u11 =", qpair.right_act(e_a1, qpair.u_monomial((1, 1))).render())

@@ -6,7 +6,7 @@ Kaehler obstruction.
 
 from .scalar import Coefficient, LaurentPoly
 from .ncpoly import Alphabet, NCPolynomial, ReductionSystem, RewriteRule
-from .qpair import CotangentVector, coset, omega, pair, right_act, right_act_deg2
+from .qpair import coset, omega, pair, right_act
 from .flagext import ExteriorAlgebra, associated_graded, build_relations
 from .report import Check, VerificationReport
 from . import geometry, rootdata, suites
@@ -14,9 +14,8 @@ from . import geometry, rootdata, suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Check", "Coefficient", "CotangentVector", "ExteriorAlgebra",
-    "LaurentPoly", "NCPolynomial", "ReductionSystem", "RewriteRule",
-    "VerificationReport", "associated_graded", "build_relations", "coset",
-    "geometry", "omega", "pair", "right_act", "right_act_deg2", "rootdata",
-    "suites",
+    "Alphabet", "Check", "Coefficient", "ExteriorAlgebra", "LaurentPoly",
+    "NCPolynomial", "ReductionSystem", "RewriteRule", "VerificationReport",
+    "associated_graded", "build_relations", "coset", "geometry", "omega",
+    "pair", "right_act", "rootdata", "suites",
 ]

@@ -9,21 +9,19 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg, qpair, rootdata
-from .ncpoly import Alphabet, NCPolynomial, ReductionSystem, RewriteRule
+from .ncpoly import NCPolynomial, ReductionSystem, RewriteRule
 from .report import VerificationReport
 from .scalar import Coefficient, ONE, ZERO
-
-FLAG_ALPHABET = Alphabet(rootdata.LETTERS)
 
 _ROOT_SUFFIX = {rootdata.ALPHA1: "a1", rootdata.ALPHA2: "a2", rootdata.THETA: "a12"}
 
 
 def _e(root):
-    return FLAG_ALPHABET.rank("e_" + _ROOT_SUFFIX[root])
+    return qpair.COTANGENT_ALPHABET.rank("e_" + _ROOT_SUFFIX[root])
 
 
 def _f(root):
-    return FLAG_ALPHABET.rank("f_" + _ROOT_SUFFIX[root])
+    return qpair.COTANGENT_ALPHABET.rank("f_" + _ROOT_SUFFIX[root])
 
 
 class ExteriorAlgebra:
@@ -69,7 +67,7 @@ def _relation_rules(with_nu_terms: bool):
     rules = []
 
     def rule(lhs, rhs_terms):
-        rhs = NCPolynomial(FLAG_ALPHABET, dict(rhs_terms))
+        rhs = NCPolynomial(qpair.COTANGENT_ALPHABET, dict(rhs_terms))
         rules.append(RewriteRule(lhs, rhs))
 
     positive = rootdata.POSITIVE_ROOTS  # convex ascending: a2 < a12 < a1
@@ -103,14 +101,16 @@ def _relation_rules(with_nu_terms: bool):
 @lru_cache(maxsize=None)
 def build_relations() -> ExteriorAlgebra:
     """The quantum exterior algebra with its full 21-rule reduction system."""
-    return ExteriorAlgebra("full", ReductionSystem(FLAG_ALPHABET, _relation_rules(True)))
+    return ExteriorAlgebra(
+        "full", ReductionSystem(qpair.COTANGENT_ALPHABET, _relation_rules(True)))
 
 
 @lru_cache(maxsize=None)
 def associated_graded() -> ExteriorAlgebra:
     """The associated graded algebra of the filtration: the same rules with
     the nu corrections dropped, a fully skew-commutative system of dimension 64."""
-    return ExteriorAlgebra("graded", ReductionSystem(FLAG_ALPHABET, _relation_rules(False)))
+    return ExteriorAlgebra(
+        "graded", ReductionSystem(qpair.COTANGENT_ALPHABET, _relation_rules(False)))
 
 
 # -- star map -----------------------------------------------------------------
@@ -288,19 +288,9 @@ def ideal_generators():
 
 
 def encoded_relation_vectors(algebra: ExteriorAlgebra):
-    """The 21 rule tensors lhs - rhs as sparse 36-vectors (row-major slots)."""
-    vectors = []
-    for rule in algebra.system.rules:
-        vec = {rule.lhs[0] * 6 + rule.lhs[1]: ONE}
-        for word, coeff in rule.rhs.terms.items():
-            vec[word[0] * 6 + word[1]] = -coeff
-        vectors.append(vec)
-    return vectors
-
-
-def omega_vector(matrix):
-    return {r * 6 + c: matrix[r][c]
-            for r in range(6) for c in range(6) if not matrix[r][c].is_zero()}
+    """The 21 rule tensors lhs - rhs, as sparse rows keyed by word."""
+    return [(algebra.monomial(rule.lhs) - rule.rhs).terms
+            for rule in algebra.system.rules]
 
 
 def derive_relations_via_omega(algebra: ExteriorAlgebra):
@@ -315,7 +305,7 @@ def derive_relations_via_omega(algebra: ExteriorAlgebra):
     derived_pivots = {}
     witnesses = []
     for label, gen in ideal_generators():
-        vec = omega_vector(qpair.omega(gen))
+        vec = qpair.omega(gen).terms
         if not vec:
             continue
         if linalg.reduce(vec, encoded_pivots):

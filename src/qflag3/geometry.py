@@ -12,7 +12,7 @@ from itertools import product
 from . import flagext, linalg, qpair, rootdata
 from .ncpoly import NCPolynomial
 from .report import VerificationReport
-from .scalar import Coefficient, ONE, ZERO
+from .scalar import Coefficient, ZERO
 
 LETTERS = rootdata.LETTERS
 E_LETTERS = ("e_a2", "e_a12", "e_a1")
@@ -58,11 +58,9 @@ def satisfies_star_swap(holo) -> bool:
 def _span_closed_under_flag_action(letters) -> bool:
     indices = {LETTERS.index(l) for l in letters}
     for letter in letters:
-        vec = qpair.CotangentVector.basis(letter)
+        vec = qpair.cotangent(letter)
         for z in qpair.all_flag_generators().values():
-            moved = qpair.right_act(vec, z)
-            if any(not c.is_zero() and k not in indices
-                   for k, c in enumerate(moved.components)):
+            if any(k not in indices for (k,) in qpair.right_act(vec, z).terms):
                 return False
     return True
 
@@ -133,7 +131,7 @@ def integrability_data(foacs: Foacs):
     extras = {}
     for key, z in qpair.all_flag_generators().items():
         vec = qpair.coset(z)
-        support = set(vec.support())
+        support = {LETTERS[k] for (k,) in vec.terms}
         if support and support <= foacs.holo:
             extras[key] = vec
     return extras
@@ -155,9 +153,7 @@ def check_integrability(foacs: Foacs, report=None) -> VerificationReport:
                "[1, 3, 3, 1]", str(dims))
 
     extras = integrability_data(foacs)
-    rank = linalg.rank(
-        {k: c for k, c in enumerate(vec.components) if not c.is_zero()}
-        for vec in extras.values())
+    rank = linalg.rank(vec.terms for vec in extras.values())
     report.add("extra-generators-span[%s]" % tag, "Prop 5.4",
                "cosets of extra generators span the holomorphic side (rank 3)",
                "rank %d from %s" % (rank, sorted(
@@ -166,11 +162,10 @@ def check_integrability(foacs: Foacs, report=None) -> VerificationReport:
 
     anti_slots = sorted(anti_indices)
     for key in sorted(extras):
-        matrix = qpair.omega(qpair.flag_generator(*key))
+        tensor = qpair.omega(qpair.flag_generator(*key))
         block_nonzero = [
             (LETTERS[r], LETTERS[c])
-            for r in anti_slots for c in anti_slots
-            if not matrix[r][c].is_zero()
+            for r in anti_slots for c in anti_slots if (r, c) in tensor.terms
         ]
         report.add("omega-antiholo-block[%s]:z%d_%d%d" % ((tag,) + key),
                    "Prop 5.4",
@@ -255,19 +250,6 @@ COINVARIANT_2FORMS = (("f_a1", "e_a1"), ("f_a2", "e_a2"), ("f_a12", "e_a12"))
 CENTRALITY_WITNESS_WORD = ((1, 1), (3, 2), (2, 3))  # u11 u32 u23
 
 
-def _form_tensor(pair):
-    i, j = LETTERS.index(pair[0]), LETTERS.index(pair[1])
-    return tuple(tuple(ONE if (r, c) == (i, j) else ZERO for c in range(6))
-                 for r in range(6))
-
-
-def _project_to_v2(algebra, tensor) -> NCPolynomial:
-    poly = NCPolynomial(algebra.alphabet, {
-        (r, c): tensor[r][c] for r in range(6) for c in range(6)
-        if not tensor[r][c].is_zero()})
-    return algebra.system.normal_form(poly)
-
-
 def centrality_report(report=None) -> VerificationReport:
     """Test v.b = eps(b) v for the three coinvariant 2-forms over all 18 flag
     generators and the cubic witness word."""
@@ -278,11 +260,11 @@ def centrality_report(report=None) -> VerificationReport:
                 sorted(qpair.all_flag_generators().items())]
     elements.append(("u11.u32.u23", witness))
     for pair in COINVARIANT_2FORMS:
-        tensor = _form_tensor(pair)
-        base = _project_to_v2(algebra, tensor)
+        tensor = qpair.cotangent(*pair)
+        base = algebra.system.normal_form(tensor)
         failures = []
         for name, b in elements:
-            acted = _project_to_v2(algebra, qpair.right_act_deg2(tensor, b))
+            acted = algebra.system.normal_form(qpair.right_act(tensor, b))
             expected = base.scale(qpair.counit(b))
             if acted != expected:
                 failures.append((name, (acted - expected).render()))
@@ -307,9 +289,9 @@ def centrality_verdicts():
 def centrality_witness_value() -> NCPolynomial:
     """The action of the witness word on f_a1 wedge e_a1 (nonzero: not central)."""
     algebra = flagext.build_relations()
-    tensor = _form_tensor(("f_a1", "e_a1"))
-    return _project_to_v2(
-        algebra, qpair.right_act_deg2(tensor, qpair.u_monomial(*CENTRALITY_WITNESS_WORD)))
+    witness = qpair.u_monomial(*CENTRALITY_WITNESS_WORD)
+    return algebra.system.normal_form(
+        qpair.right_act(qpair.cotangent("f_a1", "e_a1"), witness))
 
 
 def kahler_cube():

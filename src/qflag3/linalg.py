@@ -20,9 +20,9 @@ def reduce(row, pivots) -> dict:
         pivot = pivots.get(lead)
         if pivot is None:
             return row
-        factor = row[lead]
+        factor = -row[lead]
         for j, c in pivot.items():
-            new = row.get(j, ZERO) - factor * c
+            new = row.get(j, ZERO) + factor * c
             if new.is_zero():
                 row.pop(j, None)
             else:

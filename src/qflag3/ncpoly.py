@@ -10,7 +10,7 @@ strictly decreasing, which certifies termination.
 from __future__ import annotations
 
 from .report import Check, VerificationReport
-from .scalar import Coefficient, ONE
+from .scalar import Coefficient, ONE, ZERO
 
 Word = tuple
 
@@ -331,9 +331,9 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
                 pivots[lead] = row
                 rank += 1
                 break
-            factor = row[lead]
+            factor = -row[lead]
             for j, c in pivots[lead].items():
-                new = row.get(j, Coefficient.zero()) - factor * c
+                new = row.get(j, ZERO) + factor * c
                 if new.is_zero():
                     row.pop(j, None)
                 else:

@@ -3,8 +3,9 @@
 A closed family of twelve functionals is represented by 3x3 evaluation
 matrices on the generators u_ij together with finite coproduct expansions
 inside the family.  From these we obtain pairings against words in the u_ij,
-coset maps onto the six-dimensional cotangent space, the two-fold coproduct
-map omega, and the right module action on cotangent vectors.
+coset maps onto the six-dimensional cotangent space V1, the two-fold
+coproduct map omega, and the right module action on tensors of V1.  A tensor
+of V1^(x)k is a degree-k polynomial over the cotangent alphabet.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from .scalar import Coefficient, ONE, ZERO
 
 U_ALPHABET = Alphabet(tuple("u%d%d" % (i, j) for i in (1, 2, 3) for j in (1, 2, 3)))
 
-# cotangent basis slots, in the rank order of the exterior alphabet
-SLOT_LETTERS = rootdata.LETTERS
+# the cotangent alphabet, one letter per basis slot in the rank order of the
+# exterior algebra: a degree-k polynomial in it is a tensor of V1^(x)k
+COTANGENT_ALPHABET = Alphabet(rootdata.LETTERS)
+# the dual functional of each slot
 SLOT_DUALS = ("F_a2", "F_a12", "F_a1", "E_a2", "E_a12", "E_a1")
 
 
@@ -32,10 +35,6 @@ def u_word(*pairs):
 
 def u_monomial(*pairs, coeff=ONE) -> NCPolynomial:
     return NCPolynomial.monomial(U_ALPHABET, u_word(*pairs), coeff)
-
-
-def one_word() -> NCPolynomial:
-    return NCPolynomial.monomial(U_ALPHABET, ())
 
 
 class Functional:
@@ -205,71 +204,23 @@ def _pair2_word(x, y, word) -> Coefficient:
     return value
 
 
-# -- cotangent vectors ----------------------------------------------------------
+# -- cotangent tensors ----------------------------------------------------------
 
 
-class CotangentVector:
-    """Element of the 6-dimensional cotangent space in the basis
-    (f_a2, f_a12, f_a1, e_a2, e_a12, e_a1)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        self.components = tuple(components) if components is not None else (ZERO,) * 6
-
-    @staticmethod
-    def basis(letter: str) -> "CotangentVector":
-        idx = SLOT_LETTERS.index(letter)
-        return CotangentVector(tuple(ONE if k == idx else ZERO for k in range(6)))
-
-    def __add__(self, other):
-        return CotangentVector(tuple(a + b for a, b in
-                                     zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return CotangentVector(tuple(a - b for a, b in
-                                     zip(self.components, other.components)))
-
-    def scale(self, coeff):
-        return CotangentVector(tuple(a * coeff for a in self.components))
-
-    def __eq__(self, other):
-        return isinstance(other, CotangentVector) and self.components == other.components
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def support(self):
-        return tuple(SLOT_LETTERS[k] for k, c in enumerate(self.components)
-                     if not c.is_zero())
-
-    def render(self) -> str:
-        parts = []
-        for letter, coeff in zip(SLOT_LETTERS, self.components):
-            if coeff.is_zero():
-                continue
-            text = coeff.render()
-            if " " in text and "/" not in text:
-                text = "(%s)" % text
-            parts.append("%s*%s" % (text, letter))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
-
-    def __repr__(self):
-        return "CotangentVector(%s)" % self.render()
+def cotangent(*letters, coeff=ONE) -> NCPolynomial:
+    """The basis tensor l_1 (x) ... (x) l_k of V1^(x)k, times coeff."""
+    return NCPolynomial.monomial(
+        COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
 
 
-def coset(poly: NCPolynomial) -> CotangentVector:
-    """Coset of a u-polynomial in the cotangent space.
+def coset(poly: NCPolynomial) -> NCPolynomial:
+    """Coset of a u-polynomial in the cotangent space, a degree-1 tensor.
 
     The component on each basis vector is the pairing with its dual
     functional; constants die automatically since all six vanish on 1.
     """
-    return CotangentVector(tuple(pair(dual, poly) for dual in SLOT_DUALS))
+    return NCPolynomial(COTANGENT_ALPHABET, {
+        (k,): pair(dual, poly) for k, dual in enumerate(SLOT_DUALS)})
 
 
 def counit(poly: NCPolynomial) -> Coefficient:
@@ -286,28 +237,31 @@ def plus_part(poly: NCPolynomial) -> NCPolynomial:
     return poly - NCPolynomial.monomial(U_ALPHABET, (), counit(poly))
 
 
-def omega(poly: NCPolynomial):
-    """The degree-two coset map: a 6x6 matrix over Coefficient whose (r, c)
-    entry is the pairing of the product of the r-th and c-th dual functionals
-    against the input (left tensor leg first)."""
+_DUAL_PAIRS = tuple(((r, c), x, y) for r, x in enumerate(SLOT_DUALS)
+                    for c, y in enumerate(SLOT_DUALS))
+
+
+def omega(poly: NCPolynomial) -> NCPolynomial:
+    """The degree-two coset map, a tensor of V1 (x) V1: its coefficient on
+    the word (r, c) is the pairing of the product of the r-th and c-th dual
+    functionals against the input (left tensor leg first)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input; subtract eps(y) first")
-    matrix = [[ZERO] * 6 for _ in range(6)]
+    terms = {}
     for word, coeff in poly.terms.items():
-        for r, x in enumerate(SLOT_DUALS):
-            for c, y in enumerate(SLOT_DUALS):
-                value = _pair2_word(x, y, word)
-                if not value.is_zero():
-                    matrix[r][c] = matrix[r][c] + coeff * value
-    return tuple(tuple(row) for row in matrix)
+        for key, x, y in _DUAL_PAIRS:
+            value = _pair2_word(x, y, word)
+            if not value.is_zero():
+                terms[key] = terms.get(key, ZERO) + coeff * value
+    return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
-def omega_by_expansion(poly: NCPolynomial):
+def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     """Reference implementation of omega by explicit expansion of the matrix
     coproduct over all intermediate index tuples (for cross-checks)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
-    matrix = [[ZERO] * 6 for _ in range(6)]
+    terms = {}
     for word, coeff in poly.terms.items():
         rows = [divmod(letter, 3)[0] + 1 for letter in word]
         cols = [divmod(letter, 3)[1] + 1 for letter in word]
@@ -321,25 +275,14 @@ def omega_by_expansion(poly: NCPolynomial):
             right = coset(u_monomial(*zip(mids, cols)))
             if right.is_zero():
                 continue
-            for r, a in enumerate(left.components):
-                if a.is_zero():
-                    continue
-                for c, b in enumerate(right.components):
-                    if not b.is_zero():
-                        matrix[r][c] = matrix[r][c] + coeff * a * b
-    return tuple(tuple(row) for row in matrix)
+            for key, value in (left * right).terms.items():
+                terms[key] = terms.get(key, ZERO) + coeff * value
+    return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
-def omega_render(matrix) -> str:
-    parts = []
-    for r in range(6):
-        for c in range(6):
-            if not matrix[r][c].is_zero():
-                text = matrix[r][c].render()
-                if " " in text and "/" not in text:
-                    text = "(%s)" % text
-                parts.append("%s*%s(x)%s" % (text, SLOT_LETTERS[r], SLOT_LETTERS[c]))
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+def omega_render(tensor: NCPolynomial) -> str:
+    """A tensor of V1 (x) V1, written with (x) between its legs."""
+    return tensor.render().replace(".", "(x)")
 
 
 # -- right module action ---------------------------------------------------------
@@ -349,71 +292,58 @@ _F_A2, _F_A12, _F_A1, _E_A2, _E_A12, _E_A1 = range(6)
 
 @lru_cache(maxsize=None)
 def _letter_action(i: int, j: int):
-    """Sparse action of u_ij on the cotangent basis: list of
-    (source slot, target slot, Coefficient), per the right module structure."""
+    """Sparse action of u_ij on the cotangent basis: a map source slot ->
+    (target slot, Coefficient), per the right module structure."""
     q = Coefficient.q_power
     nu = Coefficient.nu()
     if i == j:
         eps_k = rootdata.EPSILON[i - 1]
-        return tuple(
-            (slot, slot, q(-rootdata.inner_product(rootdata.LETTER_ROOTS[slot], eps_k)))
-            for slot in range(6))
+        return {slot: (slot, q(-rootdata.inner_product(root, eps_k)))
+                for slot, root in enumerate(rootdata.LETTER_ROOTS)}
     if (i, j) == (3, 2):
-        return ((_E_A1, _E_A12, nu),)
+        return {_E_A1: (_E_A12, nu)}
     if (i, j) == (2, 3):
-        return ((_F_A1, _F_A12, q(-1) * nu),)
-    return ()
+        return {_F_A1: (_F_A12, q(-1) * nu)}
+    return {}
 
 
-def act_letter(vec: CotangentVector, i: int, j: int) -> CotangentVector:
-    out = [ZERO] * 6
-    for src, dst, coeff in _letter_action(i, j):
-        value = vec.components[src]
-        if not value.is_zero():
-            out[dst] = out[dst] + value * coeff
-    return CotangentVector(out)
+def _act_word(word, i: int, j: int) -> dict:
+    """u_ij on one basis word, as a map word -> Coefficient: the sum over a
+    of (first slot).u_ia (x) (the rest).u_aj, and delta_ij on the empty word."""
+    if not word:
+        return {(): ONE} if i == j else {}
+    out = {}
+    for a in (1, 2, 3):
+        hit = _letter_action(i, a).get(word[0])
+        if hit is None:
+            continue
+        target, scale = hit
+        for tail, value in _act_word(word[1:], a, j).items():
+            key = (target,) + tail
+            out[key] = out.get(key, ZERO) + scale * value
+    return out
 
 
-def right_act(vec: CotangentVector, poly: NCPolynomial) -> CotangentVector:
-    """Right action of a u-polynomial, letter by letter, extended linearly."""
-    total = CotangentVector()
+def right_act(tensor: NCPolynomial, poly: NCPolynomial) -> NCPolynomial:
+    """Right action of a u-polynomial on a tensor of any degree, letter by
+    letter and extended linearly.  A letter u_ij acts on a word s_1...s_k
+    through its k-fold coproduct: the sum over a_1..a_(k-1), with a_0 = i and
+    a_k = j, of s_1.u_(a_0 a_1) (x) ... (x) s_k.u_(a_(k-1) a_k)."""
+    total = {}
     for word, coeff in poly.terms.items():
-        current = vec
+        current = tensor.terms
         for letter in word:
             i, j = divmod(letter, 3)
-            current = act_letter(current, i + 1, j + 1)
-            if current.is_zero():
+            moved = {}
+            for tword, tcoeff in current.items():
+                for target, value in _act_word(tword, i + 1, j + 1).items():
+                    moved[target] = moved.get(target, ZERO) + tcoeff * value
+            current = {w: c for w, c in moved.items() if not c.is_zero()}
+            if not current:
                 break
-        total = total + current.scale(coeff)
-    return total
-
-
-def right_act_deg2(tensor, poly: NCPolynomial):
-    """Diagonal action on V1 (x) V1 through the coproduct of each word."""
-    total = [[ZERO] * 6 for _ in range(6)]
-    for word, coeff in poly.terms.items():
-        current = tensor
-        for letter in word:
-            i, j = divmod(letter, 3)
-            i, j = i + 1, j + 1
-            updated = [[ZERO] * 6 for _ in range(6)]
-            for a in (1, 2, 3):
-                left = _letter_action(i, a)
-                right = _letter_action(a, j)
-                if not left or not right:
-                    continue
-                for r_src, r_dst, r_coeff in left:
-                    for c_src, c_dst, c_coeff in right:
-                        value = current[r_src][c_src]
-                        if not value.is_zero():
-                            updated[r_dst][c_dst] = (
-                                updated[r_dst][c_dst] + value * r_coeff * c_coeff)
-            current = updated
-        for r in range(6):
-            for c in range(6):
-                if not current[r][c].is_zero():
-                    total[r][c] = total[r][c] + coeff * current[r][c]
-    return tuple(tuple(row) for row in total)
+        for w, c in current.items():
+            total[w] = total.get(w, ZERO) + coeff * c
+    return NCPolynomial(tensor.alphabet, total)
 
 
 # -- antipode and flag generators --------------------------------------------------

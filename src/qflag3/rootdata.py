@@ -25,10 +25,6 @@ def add(v, w):
     return tuple(x + y for x, y in zip(v, w))
 
 
-def negate(v):
-    return tuple(-x for x in v)
-
-
 def inner_product(beta, gamma) -> int:
     """Euclidean pairing in epsilon-coordinates."""
     return sum(x * y for x, y in zip(beta, gamma))

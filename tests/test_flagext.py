@@ -102,18 +102,18 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
     # linear and vanishes on 1, so omega(plus_part(y)) extends it to any y.
     stacked = {}
     for poly in polys:
-        row = {k: c for k, c in enumerate(
-            (qpair.counit(poly),) + qpair.coset(poly).components)
-            if not c.is_zero()}
-        for j, c in flagext.omega_vector(qpair.omega(qpair.plus_part(poly))).items():
-            row[7 + j] = c
+        row = {(0,) + w: c for w, c in qpair.coset(poly).terms.items()}
+        if not qpair.counit(poly).is_zero():
+            row[(0,)] = qpair.counit(poly)
+        for w, c in qpair.omega(qpair.plus_part(poly)).terms.items():
+            row[(1,) + w] = c
         linalg.insert_pivot(row, stacked)
-    assert len(span) - sum(1 for lead in stacked if lead < 7) == 335
+    assert len(span) - sum(1 for lead in stacked if lead[0] == 0) == 335
 
     derived = {}
     for lead, row in stacked.items():
-        if lead >= 7:
-            linalg.insert_pivot({j - 7: c for j, c in row.items()}, derived)
+        if lead[0] == 1:
+            linalg.insert_pivot({j[1:]: c for j, c in row.items()}, derived)
     encoded_vectors = flagext.encoded_relation_vectors(algebra)
     encoded = {}
     for vec in encoded_vectors:
@@ -126,11 +126,10 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
     # omega(x) . b for x in the kernel it also holds omega of the right ideal
     # that the kernel generates
     for vec in encoded_vectors:
-        tensor = tuple(tuple(vec.get(r * 6 + c, ZERO) for c in range(6))
-                       for r in range(6))
+        tensor = NCPolynomial(qpair.COTANGENT_ALPHABET, vec)
         for key in keys:
-            moved = qpair.right_act_deg2(tensor, zs[key])
-            assert not linalg.reduce(flagext.omega_vector(moved), encoded), key
+            moved = qpair.right_act(tensor, zs[key])
+            assert not linalg.reduce(moved.terms, encoded), key
 
 
 def test_ideal_generator_families():

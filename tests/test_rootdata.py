@@ -23,13 +23,13 @@ def test_inner_product_symmetric():
 
 def test_generator_weights():
     assert generator_weight("e_a1") == ALPHA1
-    assert generator_weight("f_a1") == rootdata.negate(ALPHA1)
+    assert generator_weight("f_a1") == tuple(-x for x in ALPHA1)
     with pytest.raises(ValueError):
         generator_weight("g_a1")
     letters = rootdata.LETTERS
     assert word_weight((letters.index("f_a1"), letters.index("e_a1"))) == (0, 0, 0)
     assert word_weight((letters.index("f_a2"), letters.index("e_a1"))) == \
-        rootdata.add(ALPHA1, rootdata.negate(ALPHA2))
+        rootdata.add(ALPHA1, tuple(-x for x in ALPHA2))
 
 
 # P+-grading of the quantum coordinate generators by column: -w1, w1-w2, w2
