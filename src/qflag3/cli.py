@@ -2,12 +2,14 @@
 relation dumps, and derive coset data for individual flag generators.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails, 2 on
-usage errors and when the report cannot be written.
+usage errors and when the report cannot be written (to ``--out`` or to a
+closed standard output).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -55,8 +57,11 @@ def _parse_generator(name: str):
 
 def _cmd_verify(args) -> int:
     if args.q_at_one:
-        reports = suites.run_all(classical=True) if args.suite == "all" \
-            else [suites.run_suite("classical")]
+        if args.suite != "all":
+            print("qflag3: --q-at-one runs the classical suite and takes only "
+                  "the suite 'all'", file=sys.stderr)
+            return 2
+        reports = suites.run_all(classical=True)
     elif args.suite == "all":
         reports = suites.run_all()
     else:
@@ -77,7 +82,7 @@ def _cmd_verify(args) -> int:
 def _cmd_basis(args) -> int:
     algebra = flagext.associated_graded() if args.graded else flagext.build_relations()
     if args.degree < 0:
-        print("degree must be nonnegative", file=sys.stderr)
+        print("qflag3: degree must be nonnegative", file=sys.stderr)
         return 2
     for word in algebra.system.irreducible_words(args.degree):
         print(algebra.alphabet.render_word(word))
@@ -94,7 +99,7 @@ def _cmd_derive(args) -> int:
     try:
         p, a, b = _parse_generator(args.generator)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print("qflag3: %s" % exc, file=sys.stderr)
         return 2
     generator = qpair.plus_part(qpair.flag_generator(p, a, b))
     if args.map == "coset":
@@ -104,19 +109,23 @@ def _cmd_derive(args) -> int:
     return 0
 
 
+_COMMANDS = {"verify": _cmd_verify, "basis": _cmd_basis,
+             "relations": _cmd_relations, "derive": _cmd_derive}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "basis":
-        return _cmd_basis(args)
-    if args.command == "relations":
-        return _cmd_relations(args)
-    if args.command == "derive":
-        return _cmd_derive(args)
-    parser.error("unknown command")
-    return 2
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the rest of the output, and the flush at
+        # exit, to the null device so that nothing raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("qflag3: cannot write the report: standard output is closed",
+              file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

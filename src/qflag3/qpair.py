@@ -11,6 +11,7 @@ of V1^(x)k is a degree-k polynomial over the cotangent alphabet.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from . import rootdata
 from .ncpoly import Alphabet, NCPolynomial
@@ -125,9 +126,45 @@ def functional_table():
 
 # -- pairing ------------------------------------------------------------------
 
+# A pairing against a word is read letter by letter: pairing a functional with
+# u_ij w is the sum over its coproduct terms (left, right, scale) of
+# scale * left(u_ij) * right(w).  The per-letter transitions below hold those
+# sums with the evaluations already taken, so the recursion only walks them.
+
 _pair_cache = {}
 _pair2_cache = {}
-_prod_eval_cache = {}
+
+
+@lru_cache(maxsize=None)
+def _steps(name):
+    """For each of the nine letters, the nonzero (right, factor) terms that
+    pairing the named functional with that letter leaves on the rest."""
+    table = functional_table()
+    coproduct = table[name].coproduct
+    return tuple(
+        tuple((right, scale * table[left].eval[i][j])
+              for left, right, scale in coproduct
+              if not table[left].eval[i][j].is_zero())
+        for i in range(3) for j in range(3))
+
+
+@lru_cache(maxsize=None)
+def _steps2(x, y):
+    """For each of the nine letters, the nonzero ((rx, ry), factor) terms of
+    the product functional x*y: its coproduct is the product of the two
+    coproducts, and a left leg lx*ly evaluates by the matrix product."""
+    table = functional_table()
+    merged = [{} for _ in range(9)]
+    for lx, rx, sx in table[x].coproduct:
+        for ly, ry, sy in table[y].coproduct:
+            matrix = _matmul(table[lx].eval, table[ly].eval)
+            for letter, terms in enumerate(merged):
+                entry = matrix[letter // 3][letter % 3]
+                if not entry.is_zero():
+                    terms[rx, ry] = terms.get((rx, ry), ZERO) + sx * sy * entry
+    return tuple(tuple((target, factor) for target, factor in terms.items()
+                       if not factor.is_zero())
+                 for terms in merged)
 
 
 def _pair_word(name, word) -> Coefficient:
@@ -135,21 +172,15 @@ def _pair_word(name, word) -> Coefficient:
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
-    table = functional_table()
     if not word:
-        value = table[name].counit
+        value = functional_table()[name].counit
     else:
-        i, j = divmod(word[0], 3)
         rest = word[1:]
         value = ZERO
-        for left, right, scale in table[name].coproduct:
-            entry = table[left].eval[i][j]
-            if entry.is_zero():
-                continue
+        for right, factor in _steps(name)[word[0]]:
             tail = _pair_word(right, rest)
-            if tail.is_zero():
-                continue
-            value = value + scale * entry * tail
+            if not tail.is_zero():
+                value = value + factor * tail
     _pair_cache[key] = value
     return value
 
@@ -164,16 +195,6 @@ def pair(name: str, poly: NCPolynomial) -> Coefficient:
     return total
 
 
-def _prod_eval(x, y):
-    key = (x, y)
-    hit = _prod_eval_cache.get(key)
-    if hit is None:
-        table = functional_table()
-        hit = _matmul(table[x].eval, table[y].eval)
-        _prod_eval_cache[key] = hit
-    return hit
-
-
 def _pair2_word(x, y, word) -> Coefficient:
     """Pairing of the product functional x*y against a word.
 
@@ -184,22 +205,16 @@ def _pair2_word(x, y, word) -> Coefficient:
     hit = _pair2_cache.get(key)
     if hit is not None:
         return hit
-    table = functional_table()
     if not word:
+        table = functional_table()
         value = table[x].counit * table[y].counit
     else:
-        i, j = divmod(word[0], 3)
         rest = word[1:]
         value = ZERO
-        for lx, rx, sx in table[x].coproduct:
-            for ly, ry, sy in table[y].coproduct:
-                entry = _prod_eval(lx, ly)[i][j]
-                if entry.is_zero():
-                    continue
-                tail = _pair2_word(rx, ry, rest)
-                if tail.is_zero():
-                    continue
-                value = value + sx * sy * entry * tail
+        for (rx, ry), factor in _steps2(x, y)[word[0]]:
+            tail = _pair2_word(rx, ry, rest)
+            if not tail.is_zero():
+                value = value + factor * tail
     _pair2_cache[key] = value
     return value
 
@@ -213,14 +228,30 @@ def cotangent(*letters, coeff=ONE) -> NCPolynomial:
         COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
 
 
+_coset_cache = {}
+
+
+def _coset_word(word):
+    """The nonzero (slot, value) pairs of the coset of one u-word."""
+    hit = _coset_cache.get(word)
+    if hit is None:
+        pairs = ((slot, _pair_word(dual, word)) for slot, dual in enumerate(SLOT_DUALS))
+        hit = tuple((slot, value) for slot, value in pairs if not value.is_zero())
+        _coset_cache[word] = hit
+    return hit
+
+
 def coset(poly: NCPolynomial) -> NCPolynomial:
     """Coset of a u-polynomial in the cotangent space, a degree-1 tensor.
 
     The component on each basis vector is the pairing with its dual
     functional; constants die automatically since all six vanish on 1.
     """
-    return NCPolynomial(COTANGENT_ALPHABET, {
-        (k,): pair(dual, poly) for k, dual in enumerate(SLOT_DUALS)})
+    terms = {}
+    for word, coeff in poly.terms.items():
+        for slot, value in _coset_word(word):
+            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * value
+    return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
 def counit(poly: NCPolynomial) -> Coefficient:
@@ -258,25 +289,25 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
 
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     """Reference implementation of omega by explicit expansion of the matrix
-    coproduct over all intermediate index tuples (for cross-checks)."""
+    coproduct over all intermediate index tuples (for cross-checks).
+
+    It pairs only through single functionals, word by word: u_(i1 j1)...u_(ik jk)
+    splits into u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk), and each leg
+    contributes its coset."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
     terms = {}
     for word, coeff in poly.terms.items():
-        rows = [divmod(letter, 3)[0] + 1 for letter in word]
-        cols = [divmod(letter, 3)[1] + 1 for letter in word]
-        tuples = [()]
-        for _ in word:
-            tuples = [t + (a,) for t in tuples for a in (1, 2, 3)]
-        for mids in tuples:
-            left = coset(u_monomial(*zip(rows, mids)))
-            if left.is_zero():
+        rows = [3 * (letter // 3) for letter in word]
+        cols = [letter % 3 for letter in word]
+        for mids in product(range(3), repeat=len(word)):
+            left = _coset_word(tuple(r + a for r, a in zip(rows, mids)))
+            if not left:
                 continue
-            right = coset(u_monomial(*zip(mids, cols)))
-            if right.is_zero():
-                continue
-            for key, value in (left * right).terms.items():
-                terms[key] = terms.get(key, ZERO) + coeff * value
+            right = _coset_word(tuple(3 * a + c for a, c in zip(mids, cols)))
+            for r, lv in left:
+                for c, rv in right:
+                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv * rv)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 

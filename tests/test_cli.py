@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CMD = [sys.executable, "-m", "qflag3"]
 RECORDED_REPORT = Path(__file__).parent / "data" / "verify_all.json"
 
@@ -21,6 +23,32 @@ def test_usage_error_exit_code():
     assert run_cli("verify", "bogus").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("derive", "omega", "--generator", "z3_11").returncode == 2
+
+
+def test_own_usage_errors_are_one_prefixed_line():
+    for args in (("derive", "omega", "--generator", "z3_11"),
+                 ("basis", "--degree", "-1"),
+                 ("verify", "nakayama", "--q-at-one")):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == "", args
+        assert len(result.stderr.splitlines()) == 1, args
+        assert result.stderr.startswith("qflag3: "), args
+
+
+@pytest.mark.parametrize("args", [("verify", "all", "--format", "json"),
+                                  ("relations", "--dump")])
+def test_closed_stdout_is_an_io_error(args):
+    # a large report fails inside print, a short one at the final flush
+    env = dict(os.environ)
+    env.pop("QFLAG3_FORCE_FAIL", None)
+    proc = subprocess.Popen(CMD + list(args), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2
+    assert stderr == "qflag3: cannot write the report: standard output is closed\n"
 
 
 def test_passing_suite_exits_zero():

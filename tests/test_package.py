@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +15,19 @@ DEMOS = ("01_exterior_algebra", "02_pairing_engine", "03_geometry_and_kahler")
 def test_every_exported_name_resolves():
     for name in qflag3.__all__:
         assert hasattr(qflag3, name), name
+
+
+def test_benchmark_counters_resolve():
+    # perfbench/ops.py counts calls by function name and reads the size of
+    # the product-pairing cache; a rename would drop the count silently
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ops", ROOT / "perfbench" / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    for metric, (module, attr) in ops.COUNTED.items():
+        __import__(module)
+        assert ops._lookup(module, attr) is not None, metric
+    assert isinstance(qflag3.qpair._pair2_cache, dict)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

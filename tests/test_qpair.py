@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
+from qflag3 import flagext
 from qflag3.ncpoly import NCPolynomial
-from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, all_flag_generators,
-                          antipode_word, coset, cotangent, counit,
-                          flag_generator, functional_table, omega,
-                          omega_by_expansion, omega_render, pair, plus_part,
-                          right_act, u_monomial)
+from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, _pair2_word,
+                          _pair_word, all_flag_generators, antipode_word,
+                          coset, cotangent, counit, flag_generator,
+                          functional_table, omega, omega_by_expansion,
+                          omega_render, pair, plus_part, right_act,
+                          u_monomial)
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -146,15 +149,31 @@ def test_omega_worked_generator():
 
 
 def test_omega_agrees_with_explicit_expansion():
-    samples = [
-        plus_part(flag_generator(1, 2, 2)),
-        flag_generator(2, 2, 3),
-        flag_generator(1, 3, 1) + flag_generator(2, 3, 1),
-        flag_generator(1, 2, 1) * flag_generator(2, 3, 2)
-        - flag_generator(2, 3, 1).scale(NU),
-    ]
+    # every ideal generator and every counit-corrected flag generator
+    samples = [poly for _, poly in flagext.ideal_generators()]
+    samples += [plus_part(poly) for poly in all_flag_generators().values()]
+    assert len(samples) == 156 + 18
     for poly in samples:
         assert omega(poly) == omega_by_expansion(poly)
+
+
+def test_product_pairing_is_the_coproduct_expansion():
+    # for every ordered pair of family members, not only the 36 dual pairs
+    # omega reaches, and every word of length <= 2: x*y paired with
+    # u_(i1 j1)...u_(ik jk) is the sum over a of x(u_(i1 a1)...u_(ik ak))
+    # times y(u_(a1 j1)...u_(ak jk))
+    names = list(functional_table())
+    words = [word for k in range(3) for word in itertools.product(range(9), repeat=k)]
+    assert (len(names) ** 2, len(words)) == (144, 91)
+    for x in names:
+        for y in names:
+            for word in words:
+                expected = ZERO
+                for mids in itertools.product(range(3), repeat=len(word)):
+                    left = tuple(3 * (letter // 3) + a for letter, a in zip(word, mids))
+                    right = tuple(3 * a + letter % 3 for letter, a in zip(word, mids))
+                    expected = expected + _pair_word(x, left) * _pair_word(y, right)
+                assert _pair2_word(x, y, word) == expected, (x, y, word)
 
 
 def test_right_act_single_letters():
