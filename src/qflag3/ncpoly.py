@@ -294,7 +294,16 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     Spans the two-sided ideal slice u*(lhs - rhs)*v over all words u, v with
     |u| + |v| = k - 2 inside the full 6^k word basis and Gaussian-eliminates,
     independently of the rewrite engine.
+
+    Each row is pivoted at its largest word, as in Macaulay-matrix (F4)
+    elimination, and rows are taken by leading word, sparsest first.  A raw
+    row's largest word is u*lhs*v with coefficient 1, so most pivots are
+    monic and the elimination mostly stays in Z[q, q^-1].  The rank of the
+    row set does not depend on the order in which rows are taken or on the
+    column each is pivoted at, so the dimension does not either.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     n = len(system.alphabet)
     if degree < 2:
         return n ** degree
@@ -319,12 +328,12 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
                     rows.append({col[u + w + v]: c for w, c in relation})
 
     # sparse row reduction over the exact coefficient field
+    rows.sort(key=lambda row: (max(row), len(row)))
     pivots = {}
     rank = 0
     for row in rows:
-        row = dict(row)
         while row:
-            lead = min(row)
+            lead = max(row)
             if lead not in pivots:
                 inv = row[lead]
                 row = {j: c / inv for j, c in row.items()}

@@ -5,7 +5,8 @@ Everything here is exact; equality is decidable and all values are immutable
 after construction.  A term value of a LaurentPoly is a Python int whenever it
 is integral and a fractions.Fraction only when its denominator is greater than
 1, so the common coefficients (+-q^k, +-q^k*nu) never touch Fraction.  Floats
-are rejected.  Term values are divided only through Fraction, never int / int.
+are rejected, as term values and as q-exponents.  Term values are divided only
+through Fraction, never int / int.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
+                if type(exp) is not int:
+                    raise TypeError("q-exponent %r is not an int" % (exp,))
                 coeff = _term_value(coeff)
                 if coeff:
-                    clean[int(exp)] = coeff
+                    clean[exp] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qflag3.flagext import associated_graded, build_relations
 from qflag3.ncpoly import (Alphabet, NCPolynomial, ReductionSystem, RewriteRule,
                            quotient_dimension_by_elimination)
-from qflag3.scalar import Coefficient, LaurentPoly, ONE
+from qflag3.scalar import Coefficient, LaurentPoly, ONE, ZERO
 
 Q = Coefficient.q_power
 
@@ -185,10 +187,93 @@ def test_elimination_oracle_flags_the_full_system_collapse():
 
 
 def test_elimination_oracle_exact_series_after_the_collapse():
-    # ROADMAP item 2: the true quotient has dimensions 9 and 2 in degrees 4, 5
+    # ROADMAP item 2: the true quotient has dimensions 9, 2 and 0 in degrees
+    # 4, 5 and 6, so every word of length 6 lies in the ideal
     system = build_relations().system
     assert quotient_dimension_by_elimination(system, 4) == 9
     assert quotient_dimension_by_elimination(system, 5) == 2
+    assert quotient_dimension_by_elimination(system, 6) == 0
+
+
+def test_elimination_oracle_rejects_a_negative_degree():
+    system = build_relations().system
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        quotient_dimension_by_elimination(system, -1)
+
+
+def _smallest_column_dimension(system, degree):
+    """The oracle's dimension with every row pivoted at its smallest column,
+    taking the rows in the order they are built."""
+    n = len(system.alphabet)
+    all_words = [()]
+    for _ in range(degree):
+        all_words = [w + (letter,) for w in all_words for letter in range(n)]
+    col = {w: i for i, w in enumerate(all_words)}
+    rows = []
+    for rewrite in system.rules:
+        relation = [(rewrite.lhs, ONE)] + [(w, -c) for w, c in rewrite.rhs.terms.items()]
+        for word in all_words:
+            for start in range(degree - 1):
+                if word[start:start + 2] == rewrite.lhs:
+                    u, v = word[:start], word[start + 2:]
+                    rows.append({col[u + w + v]: c for w, c in relation})
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = row[lead]
+                pivots[lead] = {j: c / inv for j, c in row.items()}
+                break
+            factor = row[lead]
+            for j, c in pivots[lead].items():
+                value = row.get(j, ZERO) - factor * c
+                if value.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = value
+    return n ** degree - len(pivots)
+
+
+_RULE_SETS = (_ALGEBRA.system.rules, associated_graded().system.rules)
+_rule_subsets = st.builds(lambda rules, chosen: [rules[i] for i in sorted(chosen)],
+                          st.sampled_from(_RULE_SETS), st.sets(st.integers(0, 20)))
+# rules with random coefficients: their overlaps give pivots that are not monic
+_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
+_random_rules = st.dictionaries(
+    _pairs, st.dictionaries(_pairs, _coefficients, min_size=1, max_size=4),
+    min_size=8, max_size=20).map(
+    lambda spec: [RewriteRule(lhs, NCPolynomial(_ALGEBRA.alphabet,
+                                                {w: c for w, c in rhs.items() if w < lhs}))
+                  for lhs, rhs in spec.items()])
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body after `seconds` of wall time, so an
+    elimination that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("no result after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_rule_subsets, _random_rules))
+def test_elimination_oracle_does_not_depend_on_the_pivot_order(rules):
+    # any set of decreasing rules is a reduction system; the rank of its ideal
+    # slice is the same whichever column each row is pivoted at
+    system = ReductionSystem(_ALGEBRA.alphabet, rules)
+    for degree in (2, 3):
+        with _time_limit(2):
+            dimension = quotient_dimension_by_elimination(system, degree)
+        assert dimension == _smallest_column_dimension(system, degree)
 
 
 def _specialized_rank(system, qval):

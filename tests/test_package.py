@@ -1,5 +1,7 @@
+import cProfile
 import importlib.util
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -17,17 +19,36 @@ def test_every_exported_name_resolves():
         assert hasattr(qflag3, name), name
 
 
-def test_benchmark_counters_resolve():
-    # perfbench/ops.py counts calls by function name and reads the size of
-    # the product-pairing cache; a rename would drop the count silently
+def _load_benchmark_ops():
     spec = importlib.util.spec_from_file_location(
         "perfbench_ops", ROOT / "perfbench" / "ops.py")
     ops = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ops)
+    return ops
+
+
+def test_benchmark_counters_resolve():
+    # perfbench/ops.py counts calls by function name and reads the size of
+    # the product-pairing cache; a rename would drop the count silently
+    ops = _load_benchmark_ops()
     for metric, (module, attr) in ops.COUNTED.items():
         __import__(module)
         assert ops._lookup(module, attr) is not None, metric
     assert isinstance(qflag3.qpair._pair2_cache, dict)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="comprehensions are inlined, so ops.py cannot count oracle rows")
+def test_benchmark_oracle_counters_read_the_oracle():
+    # perfbench/ops.py counts the oracle's rows and pivots by profiling its
+    # row-building comprehension and the comprehension that divides by the
+    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200
+    ops = _load_benchmark_ops()
+    system = qflag3.flagext.build_relations().system
+    profiler = cProfile.Profile()
+    profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, 3)
+    counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
+    assert counts == {"ncpoly.oracle_rows": 252, "ncpoly.oracle_rank": 200}
 
 
 @pytest.mark.parametrize("demo", DEMOS)

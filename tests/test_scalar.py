@@ -107,3 +107,12 @@ def test_float_coefficients_are_rejected():
     assert LaurentPoly({0: Fraction(4, 2)}).terms == {0: 2}
     assert LaurentPoly.nu().scale(Fraction(1, 2)).terms == {1: Fraction(1, 2),
                                                            -1: Fraction(-1, 2)}
+
+
+def test_non_integer_exponents_are_rejected():
+    # int(1.5) would silently store q
+    with pytest.raises(TypeError):
+        LaurentPoly({1.5: 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({Fraction(2): 1})
+    assert LaurentPoly({-2: 3}).terms == {-2: 3}
