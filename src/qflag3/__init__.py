@@ -6,7 +6,7 @@ Kaehler obstruction.
 
 from .scalar import Coefficient, LaurentPoly
 from .ncpoly import Alphabet, NCPolynomial, ReductionSystem, RewriteRule
-from .qpair import coset, omega, pair, right_act
+from .qpair import coset, omega, right_act
 from .flagext import ExteriorAlgebra, associated_graded, build_relations
 from .report import Check, VerificationReport
 from . import geometry, rootdata, suites
@@ -17,5 +17,5 @@ __all__ = [
     "Alphabet", "Check", "Coefficient", "ExteriorAlgebra", "LaurentPoly",
     "NCPolynomial", "ReductionSystem", "RewriteRule", "VerificationReport",
     "associated_graded", "build_relations", "coset", "geometry", "omega",
-    "pair", "right_act", "rootdata", "suites",
+    "right_act", "rootdata", "suites",
 ]

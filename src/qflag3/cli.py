@@ -61,7 +61,7 @@ def _cmd_verify(args) -> int:
             print("qflag3: --q-at-one runs the classical suite and takes only "
                   "the suite 'all'", file=sys.stderr)
             return 2
-        reports = suites.run_all(classical=True)
+        reports = [suites.run_suite("classical")]
     elif args.suite == "all":
         reports = suites.run_all()
     else:

@@ -53,7 +53,7 @@ class ExteriorAlgebra:
         return self._ref_coeff
 
     def word_weight(self, word):
-        return rootdata.word_weight(word, self.alphabet)
+        return rootdata.word_weight(word)
 
 
 def _relation_rules(with_nu_terms: bool):
@@ -115,8 +115,6 @@ def associated_graded() -> ExteriorAlgebra:
 
 # -- star map -----------------------------------------------------------------
 
-_STAR_INDEX = tuple((i + 3) % 6 for i in range(6))  # swaps e_gamma <-> f_gamma
-
 
 def star(algebra: ExteriorAlgebra, poly: NCPolynomial) -> NCPolynomial:
     """Graded star: swap e and f letters, reverse words with the graded sign
@@ -125,7 +123,7 @@ def star(algebra: ExteriorAlgebra, poly: NCPolynomial) -> NCPolynomial:
     for word, coeff in poly.terms.items():
         k = len(word)
         sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        flipped = tuple(_STAR_INDEX[i] for i in reversed(word))
+        flipped = tuple(rootdata.STAR[i] for i in reversed(word))
         out = out + NCPolynomial.monomial(
             algebra.alphabet, flipped,
             coeff if sign == 1 else coeff * Coefficient.from_rational(-1))

@@ -282,10 +282,8 @@ class ReductionSystem:
     def hilbert_series(self, max_degree: int):
         return [len(self.irreducible_words(k)) for k in range(max_degree + 1)]
 
-    def dump_rules(self, header=None):
-        lines = [] if header is None else [header]
-        lines.extend(rule.render(self.alphabet) for rule in self.rules)
-        return "\n".join(lines)
+    def dump_rules(self):
+        return "\n".join(rule.render(self.alphabet) for rule in self.rules)
 
 
 def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> int:

@@ -4,8 +4,9 @@ A closed family of twelve functionals is represented by 3x3 evaluation
 matrices on the generators u_ij together with finite coproduct expansions
 inside the family.  From these we obtain pairings against words in the u_ij,
 coset maps onto the six-dimensional cotangent space V1, the two-fold
-coproduct map omega, and the right module action on tensors of V1.  A tensor
-of V1^(x)k is a degree-k polynomial over the cotangent alphabet.
+coproduct map omega, and the right module action on tensors of V1, derived
+from the coproducts of the six slot duals.  A tensor of V1^(x)k is a
+degree-k polynomial over the cotangent alphabet.
 """
 
 from __future__ import annotations
@@ -185,16 +186,6 @@ def _pair_word(name, word) -> Coefficient:
     return value
 
 
-def pair(name: str, poly: NCPolynomial) -> Coefficient:
-    """Dual pairing of the named functional against a polynomial in the u_ij."""
-    total = ZERO
-    for word, coeff in poly.terms.items():
-        value = _pair_word(name, word)
-        if not value.is_zero():
-            total = total + coeff * value
-    return total
-
-
 def _pair2_word(x, y, word) -> Coefficient:
     """Pairing of the product functional x*y against a word.
 
@@ -318,24 +309,29 @@ def omega_render(tensor: NCPolynomial) -> str:
 
 # -- right module action ---------------------------------------------------------
 
-_F_A2, _F_A12, _F_A1, _E_A2, _E_A12, _E_A1 = range(6)
-
-
 @lru_cache(maxsize=None)
 def _letter_action(i: int, j: int):
     """Sparse action of u_ij on the cotangent basis: a map source slot ->
-    (target slot, Coefficient), per the right module structure."""
-    q = Coefficient.q_power
-    nu = Coefficient.nu()
-    if i == j:
-        eps_k = rootdata.EPSILON[i - 1]
-        return {slot: (slot, q(-rootdata.inner_product(root, eps_k)))
-                for slot, root in enumerate(rootdata.LETTER_ROOTS)}
-    if (i, j) == (3, 2):
-        return {_E_A1: (_E_A12, nu)}
-    if (i, j) == (2, 3):
-        return {_F_A1: (_F_A12, q(-1) * nu)}
-    return {}
+    list of (target slot, Coefficient), read off the slot duals' coproducts.
+
+    For x with eps(x) = 0, the coset of x u_ij has on slot t the value
+    X_t(x u_ij): the sum over the coproduct terms (left, right, scale) of the
+    dual X_t of scale * left(x) * right(u_ij).  A slot dual as left leg reads
+    the coset of x on its slot; eps vanishes on x.
+    """
+    table = functional_table()
+    action = {}
+    for target, dual in enumerate(SLOT_DUALS):
+        for left, right, scale in table[dual].coproduct:
+            if left == "eps":
+                continue
+            if left not in SLOT_DUALS:
+                raise AssertionError("%s has a left leg %s off the cotangent space"
+                                     % (dual, left))
+            value = scale * table[right].eval[i - 1][j - 1]
+            if not value.is_zero():
+                action.setdefault(SLOT_DUALS.index(left), []).append((target, value))
+    return action
 
 
 def _act_word(word, i: int, j: int) -> dict:
@@ -345,13 +341,14 @@ def _act_word(word, i: int, j: int) -> dict:
         return {(): ONE} if i == j else {}
     out = {}
     for a in (1, 2, 3):
-        hit = _letter_action(i, a).get(word[0])
-        if hit is None:
+        moves = _letter_action(i, a).get(word[0])
+        if not moves:
             continue
-        target, scale = hit
-        for tail, value in _act_word(word[1:], a, j).items():
-            key = (target,) + tail
-            out[key] = out.get(key, ZERO) + scale * value
+        tails = _act_word(word[1:], a, j)
+        for target, scale in moves:
+            for tail, value in tails.items():
+                key = (target,) + tail
+                out[key] = out.get(key, ZERO) + scale * value
     return out
 
 

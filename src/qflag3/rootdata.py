@@ -9,8 +9,6 @@ ALPHA1 = (1, -1, 0)
 ALPHA2 = (0, 1, -1)
 THETA = (1, 0, -1)  # alpha1 + alpha2
 
-EPSILON = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 # positive roots in convex order induced by the reduced word s2 s1 s2
 POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
 
@@ -19,6 +17,9 @@ POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
 LETTERS = ("f_a2", "f_a12", "f_a1", "e_a2", "e_a12", "e_a1")
 LETTER_ROOTS = (ALPHA2, THETA, ALPHA1, ALPHA2, THETA, ALPHA1)
 LETTER_SIGNS = (-1, -1, -1, 1, 1, 1)  # f_gamma carries -gamma, e_gamma carries +gamma
+# the star partner of each letter, by index: same root, opposite sign
+_SIGNED_ROOTS = tuple(zip(LETTER_ROOTS, LETTER_SIGNS))
+STAR = tuple(_SIGNED_ROOTS.index((root, -sign)) for root, sign in _SIGNED_ROOTS)
 
 
 def add(v, w):
@@ -40,10 +41,9 @@ def generator_weight(letter: str):
     return tuple(sign * x for x in root)
 
 
-def word_weight(word, alphabet=None):
+def word_weight(word):
     """Additive extension of generator_weight to words of letter indices."""
     total = (0, 0, 0)
     for index in word:
-        letter = LETTERS[index] if alphabet is None else alphabet.letters[index]
-        total = add(total, generator_weight(letter))
+        total = add(total, generator_weight(LETTERS[index]))
     return total

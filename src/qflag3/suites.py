@@ -1,12 +1,9 @@
 """Named verification suites: each builds a VerificationReport whose checks
 carry the citation of the claim being tested, the expected value, and the
-exact computed value.  Reports are deterministic; a forced-failure hook for
-exit-code testing is honoured via the QFLAG3_FORCE_FAIL environment variable.
+exact computed value.  Reports are deterministic.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import flagext, geometry, linalg, qpair
 from .ncpoly import quotient_dimension_by_elimination
@@ -177,15 +174,15 @@ def suite_acs() -> VerificationReport:
                else "not closed")
     classes = len({min(s.key(), s.opposite().key()) for s in survivors})
     report.add("classes-up-to-opposite", "Prop 5.2", "2", str(classes))
-    geometry.check_bigrading(geometry.STRUCTURE_I, report)
-    geometry.check_bigrading(geometry.STRUCTURE_II, report)
+    for structure in (geometry.STRUCTURE_I, geometry.STRUCTURE_II):
+        report.checks.extend(geometry.check_bigrading(structure).checks)
     return report
 
 
 def suite_integrability() -> VerificationReport:
     report = VerificationReport("integrability")
     for survivor in geometry.enumerate_foacs():
-        geometry.check_integrability(survivor, report)
+        report.checks.extend(geometry.check_integrability(survivor).checks)
     return report
 
 
@@ -230,7 +227,7 @@ def suite_kahler() -> VerificationReport:
                " source display collapses its sums inconsistently)",
                CENTRALITY_WITNESS_VALUE,
                geometry.centrality_witness_value().render())
-    geometry.no_covariant_kahler(report)
+    report.checks.extend(geometry.no_covariant_kahler().checks)
     return report
 
 
@@ -264,15 +261,8 @@ def run_suite(name: str) -> VerificationReport:
         builder = _BUILDERS[name]
     except KeyError:
         raise ValueError("unknown suite %r" % name) from None
-    report = builder()
-    forced = os.environ.get("QFLAG3_FORCE_FAIL")
-    if forced:
-        for check in report.checks:
-            if check.id == forced or forced == "*":
-                check.passed = not check.passed
-    return report
+    return builder()
 
 
-def run_all(classical=False):
-    names = ("classical",) if classical else SUITE_NAMES
-    return [run_suite(name) for name in names]
+def run_all():
+    return [run_suite(name) for name in SUITE_NAMES]

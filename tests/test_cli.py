@@ -6,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from qflag3 import cli, suites
+from qflag3.report import VerificationReport
+
 CMD = [sys.executable, "-m", "qflag3"]
 RECORDED_REPORT = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("QFLAG3_FORCE_FAIL", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
@@ -40,10 +42,8 @@ def test_own_usage_errors_are_one_prefixed_line():
                                   ("relations", "--dump")])
 def test_closed_stdout_is_an_io_error(args):
     # a large report fails inside print, a short one at the final flush
-    env = dict(os.environ)
-    env.pop("QFLAG3_FORCE_FAIL", None)
     proc = subprocess.Popen(CMD + list(args), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, text=True)
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
@@ -71,10 +71,21 @@ def test_failing_suite_exits_one():
     assert "overlap:e_a2.e_a2.f_a2" in failing
 
 
-def test_forced_failure_hook():
-    result = run_cli("verify", "kahler",
-                     env_extra={"QFLAG3_FORCE_FAIL": "central-subspace-dim"})
-    assert result.returncode == 1
+def test_failing_check_exits_one(monkeypatch):
+    def failing_kahler():
+        report = VerificationReport("kahler")
+        report.add("central-subspace-dim", "Lemma 6.4", "2", "3")
+        return report
+
+    monkeypatch.setitem(suites._BUILDERS, "kahler", failing_kahler)
+    assert cli.main(["verify", "kahler"]) == 1
+
+
+def test_verdicts_ignore_the_environment():
+    # a variable that once inverted verdicts for exit-code testing is now inert
+    result = run_cli("verify", "all", "--format", "json",
+                     env_extra={"QFLAG3_FORCE_FAIL": "*"})
+    assert result.stdout == RECORDED_REPORT.read_text(encoding="utf-8")
 
 
 def test_deterministic_output():

@@ -9,8 +9,7 @@ from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word,
                           coset, cotangent, counit, flag_generator,
                           functional_table, omega, omega_by_expansion,
-                          omega_render, pair, plus_part, right_act,
-                          u_monomial)
+                          omega_render, plus_part, right_act, u_monomial)
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -19,6 +18,14 @@ NU = Coefficient.nu()
 
 def one_word():
     return NCPolynomial.monomial(U_ALPHABET, ())
+
+
+def pair(name, poly):
+    """Dual pairing of the named functional against a u-polynomial."""
+    total = ZERO
+    for word, coeff in poly.terms.items():
+        total = total + coeff * _pair_word(name, word)
+    return total
 
 
 def entries(matrix):
@@ -191,6 +198,25 @@ def test_right_act_single_letters():
         vec = cotangent(letter)
         for (i, j) in [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]:
             assert right_act(vec, u_monomial((i, j))).is_zero()
+
+
+def test_right_act_is_the_coset_module_action():
+    # coset(x u_ij) == coset(x) . u_ij for every counit-zero x: the action is
+    # read off the slot duals' coproducts, and this checks it against the
+    # pairing itself, over the counit-corrected flag generators and seeded
+    # counit-corrected words of length 1-3
+    samples = [plus_part(poly) for poly in all_flag_generators().values()]
+    rng = random.Random(8)
+    for _ in range(60):
+        word = tuple(rng.randrange(9) for _ in range(rng.randint(1, 3)))
+        samples.append(plus_part(NCPolynomial.monomial(U_ALPHABET, word)))
+    assert len(samples) == 18 + 60
+    for x in samples:
+        base = coset(x)
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                u = u_monomial((i, j))
+                assert coset(x * u) == right_act(base, u), (x.render(), i, j)
 
 
 def test_right_act_by_antipoded_letters():
