@@ -270,17 +270,6 @@ def _centrality_failures():
     return failures
 
 
-def centrality_report() -> VerificationReport:
-    """Test v.b = eps(b) v for the three coinvariant 2-forms over all 18 flag
-    generators and the cubic witness word."""
-    report = VerificationReport("centrality")
-    for form_name, failures in _centrality_failures().items():
-        report.add("central:%s" % form_name, "Lemma 6.4", "central",
-                   "fails at %d elements, e.g. %s: defect %s"
-                   % ((len(failures),) + failures[0]) if failures else "central")
-    return report
-
-
 def centrality_verdicts():
     """Which coinvariant 2-forms commute with the whole flag algebra."""
     return {form: not failures for form, failures in _centrality_failures().items()}

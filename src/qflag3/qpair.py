@@ -7,12 +7,15 @@ coset maps onto the six-dimensional cotangent space V1, the two-fold
 coproduct map omega, and the right module action on tensors of V1, derived
 from the coproducts of the six slot duals.  A tensor of V1^(x)k is a
 degree-k polynomial over the cotangent alphabet.
+
+``omega_by_expansion`` checks omega independently: it pairs only through
+single functionals, in one depth-first walk per word over the intermediate
+index tuples, from the right end of the word, and caches nothing per word.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from . import rootdata
 from .ncpoly import Alphabet, NCPolynomial
@@ -278,27 +281,66 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
+@lru_cache(maxsize=None)
+def _steps_into(letter):
+    """The single-functional transitions of one letter read backwards: a map
+    right leg -> tuple of (functional, factor), so that X(u_letter w) is the
+    sum of factor * right(w) over the entries that name X."""
+    back = {}
+    for name in functional_table():
+        for right, factor in _steps(name)[letter]:
+            back.setdefault(right, []).append((name, factor))
+    return {right: tuple(terms) for right, terms in back.items()}
+
+
+def _prepend(letter, suffix):
+    """The nonzero pairings of the twelve functionals with u_letter w, from
+    their pairings with w (a map functional name -> Coefficient)."""
+    into = _steps_into(letter)
+    out = {}
+    for right, value in suffix.items():
+        for name, factor in into.get(right, ()):
+            out[name] = out.get(name, ZERO) + factor * value
+    return {name: value for name, value in out.items() if not value.is_zero()}
+
+
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     """Reference implementation of omega by explicit expansion of the matrix
     coproduct over all intermediate index tuples (for cross-checks).
 
-    It pairs only through single functionals, word by word: u_(i1 j1)...u_(ik jk)
-    splits into u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk), and each leg
-    contributes its coset."""
+    It pairs only through single functionals: u_(i1 j1)...u_(ik jk) splits
+    into u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first
+    walk per word chooses a_k, ..., a_1 from the right end and carries the
+    pairings of every functional with the suffix of each leg; a branch stops
+    once either leg pairs to zero with all of them.  At a full index tuple the
+    slot duals' pairings with the two legs give the coefficient on (r, c)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
+    empty = {name: f.counit for name, f in functional_table().items()
+             if not f.counit.is_zero()}
     terms = {}
+
+    def walk(word, coeff, depth, left, right):
+        if not depth:
+            for r, x in enumerate(SLOT_DUALS):
+                lv = left.get(x)
+                if lv is None:
+                    continue
+                for c, y in enumerate(SLOT_DUALS):
+                    rv = right.get(y)
+                    if rv is not None:
+                        terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv * rv)
+            return
+        row, col = divmod(word[depth - 1], 3)
+        for a in range(3):
+            left_a = _prepend(3 * row + a, left)
+            if left_a:
+                right_a = _prepend(3 * a + col, right)
+                if right_a:
+                    walk(word, coeff, depth - 1, left_a, right_a)
+
     for word, coeff in poly.terms.items():
-        rows = [3 * (letter // 3) for letter in word]
-        cols = [letter % 3 for letter in word]
-        for mids in product(range(3), repeat=len(word)):
-            left = _coset_word(tuple(r + a for r, a in zip(rows, mids)))
-            if not left:
-                continue
-            right = _coset_word(tuple(3 * a + c for a, c in zip(mids, cols)))
-            for r, lv in left:
-                for c, rv in right:
-                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv * rv)
+        walk(word, coeff, len(word), empty, empty)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 

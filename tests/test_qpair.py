@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qflag3 import flagext
+from qflag3 import flagext, qpair
 from qflag3.ncpoly import NCPolynomial
 from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word,
@@ -144,9 +144,11 @@ def test_flag_generator_counits():
 
 
 def test_omega_requires_counit_zero():
-    with pytest.raises(ValueError):
-        omega(flag_generator(1, 1, 1))
-    assert omega(NCPolynomial.zero(U_ALPHABET)).is_zero()
+    # for omega and for its independent check alike
+    for route in (omega, omega_by_expansion):
+        with pytest.raises(ValueError):
+            route(flag_generator(1, 1, 1))
+        assert route(NCPolynomial.zero(U_ALPHABET)).is_zero()
 
 
 def test_omega_worked_generator():
@@ -155,13 +157,69 @@ def test_omega_worked_generator():
                                     " - q^-3*e_a1(x)f_a1")
 
 
-def test_omega_agrees_with_explicit_expansion():
+def omega_samples():
     # every ideal generator and every counit-corrected flag generator
     samples = [poly for _, poly in flagext.ideal_generators()]
     samples += [plus_part(poly) for poly in all_flag_generators().values()]
     assert len(samples) == 156 + 18
-    for poly in samples:
+    return samples
+
+
+def test_omega_agrees_with_explicit_expansion():
+    for poly in omega_samples():
         assert omega(poly) == omega_by_expansion(poly)
+
+
+def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
+    # the check never reaches the product-functional pairing it checks, nor
+    # the coset cache, and adds no entry to any pairing cache
+    samples = omega_samples()
+    expected = [omega(poly) for poly in samples]
+
+    def forbidden(*args):
+        raise AssertionError("omega_by_expansion reached the code it checks")
+
+    for name in ("_pair2_word", "_steps2", "_coset_word"):
+        monkeypatch.setattr(qpair, name, forbidden)
+    caches = (qpair._pair_cache, qpair._coset_cache, qpair._pair2_cache)
+    sizes = [len(cache) for cache in caches]
+    assert [omega_by_expansion(poly) for poly in samples] == expected
+    assert [len(cache) for cache in caches] == sizes
+
+
+def omega_over_index_tuples(poly):
+    """omega by the explicit route: for every word and every index tuple,
+    the coset of the left leg times the coset of the right leg."""
+    total = NCPolynomial.zero(COTANGENT_ALPHABET)
+    for word, coeff in poly.terms.items():
+        for mids in itertools.product(range(3), repeat=len(word)):
+            left = tuple(3 * (letter // 3) + a for letter, a in zip(word, mids))
+            right = tuple(3 * a + letter % 3 for letter, a in zip(word, mids))
+            total = total + (coset(NCPolynomial.monomial(U_ALPHABET, left)) *
+                             coset(NCPolynomial.monomial(U_ALPHABET, right))).scale(coeff)
+    return total
+
+
+def test_omega_by_expansion_walks_every_index_tuple():
+    # the walk against the old route, on the counit-corrected flag generators
+    # and seeded counit-zero sums of words of length 1-5 with coefficients
+    # from {+-1, +-q^k, nu}
+    samples = [plus_part(poly) for poly in all_flag_generators().values()]
+    rng = random.Random(29)
+    scalars = [ONE, -ONE, Q(1), -Q(-2), Q(3), NU]
+    for _ in range(60):
+        poly = NCPolynomial.zero(U_ALPHABET)
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randrange(9) for _ in range(rng.randint(1, 5)))
+            poly = poly + NCPolynomial.monomial(U_ALPHABET, word, rng.choice(scalars))
+        samples.append(plus_part(poly))
+    assert len(samples) == 18 + 60
+    nonzero = 0
+    for poly in samples:
+        expected = omega_over_index_tuples(poly)
+        assert omega_by_expansion(poly) == expected, poly.render()
+        nonzero += not expected.is_zero()
+    assert nonzero >= 70
 
 
 def test_product_pairing_is_the_coproduct_expansion():
