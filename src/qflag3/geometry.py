@@ -53,9 +53,10 @@ def satisfies_star_swap(holo) -> bool:
 
 def _span_closed_under_flag_action(letters) -> bool:
     indices = {LETTERS.index(l) for l in letters}
+    generators = qpair.all_flag_generators().values()
     for letter in letters:
         vec = qpair.cotangent(letter)
-        for z in qpair.all_flag_generators().values():
+        for z in generators:
             if any(k not in indices for (k,) in qpair.right_act(vec, z).terms):
                 return False
     return True

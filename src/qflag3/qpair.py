@@ -8,9 +8,21 @@ coproduct map omega, and the right module action on tensors of V1, derived
 from the coproducts of the six slot duals.  A tensor of V1^(x)k is a
 degree-k polynomial over the cotangent alphabet.
 
+The pairing is graded by weight.  The letter u_ij has weight e_i - e_j, a
+word the sum of its letters' weights, and each member of the family the
+weight of the positions of its nonzero evaluation entries (0 for the
+group-likes).  ``functional_weights`` derives these and checks that every
+coproduct term preserves them, so by induction on word length a member pairs
+to zero with every word of another weight, and a product x*y with every word
+whose weight is not wt(x) + wt(y).  ``omega`` tries only the dual pairs of
+the word's weight, and ``coset`` only the one slot dual of that weight; the
+pairing recursion below a matching call needs no test, since every call it
+makes matches too.
+
 ``omega_by_expansion`` checks omega independently: it pairs only through
 single functionals, in one depth-first walk per word over the intermediate
 index tuples, from the right end of the word, and caches nothing per word.
+It reads no weight, so it also checks that the pruning drops only zeros.
 """
 
 from __future__ import annotations
@@ -128,6 +140,50 @@ def functional_table():
     return table
 
 
+# -- weight grading -----------------------------------------------------------
+
+
+def u_weight(word):
+    """Weight of a u-word in epsilon-coordinates: the sum of e_i - e_j over
+    its letters u_ij."""
+    weight = [0, 0, 0]
+    for letter in word:
+        row, col = divmod(letter, 3)
+        weight[row] += 1
+        weight[col] -= 1
+    return tuple(weight)
+
+
+@lru_cache(maxsize=None)
+def functional_weights():
+    """The weight of each family member, read off its evaluation matrix: the
+    entry (r, c) pairs with u_rc, of weight e_r - e_c.
+
+    Raises AssertionError unless each member's nonzero entries agree on one
+    weight, a member with nonzero counit has weight 0, and every coproduct
+    term (left, right, scale) has wt(left) + wt(right) equal to the member's
+    weight.  The counit check is the base case, and the other two are the
+    step, of the induction on word length that makes a member vanish on
+    words of any other weight.
+    """
+    table = functional_table()
+    weights = {}
+    for name, functional in table.items():
+        found = {u_weight((3 * r + c,)) for r in range(3) for c in range(3)
+                 if not functional.eval[r][c].is_zero()}
+        if len(found) != 1:
+            raise AssertionError("%s has no single weight: %s" % (name, sorted(found)))
+        weights[name] = found.pop()
+        if not functional.counit.is_zero() and any(weights[name]):
+            raise AssertionError("%s has a nonzero counit off weight 0" % name)
+    for name, functional in table.items():
+        for left, right, _ in functional.coproduct:
+            if rootdata.add(weights[left], weights[right]) != weights[name]:
+                raise AssertionError("%s has a coproduct term %s (x) %s of another weight"
+                                     % (name, left, right))
+    return weights
+
+
 # -- pairing ------------------------------------------------------------------
 
 # A pairing against a word is read letter by letter: pairing a functional with
@@ -225,12 +281,28 @@ def cotangent(*letters, coeff=ONE) -> NCPolynomial:
 _coset_cache = {}
 
 
+@lru_cache(maxsize=None)
+def _slot_dual_by_weight():
+    """Weight -> (slot, dual): the six slot duals have distinct weights."""
+    weights = functional_weights()
+    by_weight = {weights[dual]: (slot, dual) for slot, dual in enumerate(SLOT_DUALS)}
+    if len(by_weight) != len(SLOT_DUALS):
+        raise AssertionError("two slot duals share a weight")
+    return by_weight
+
+
 def _coset_word(word):
-    """The nonzero (slot, value) pairs of the coset of one u-word."""
+    """The nonzero (slot, value) pairs of the coset of one u-word: at most
+    one, from the slot dual of the word's weight."""
     hit = _coset_cache.get(word)
     if hit is None:
-        pairs = ((slot, _pair_word(dual, word)) for slot, dual in enumerate(SLOT_DUALS))
-        hit = tuple((slot, value) for slot, value in pairs if not value.is_zero())
+        hit = ()
+        match = _slot_dual_by_weight().get(u_weight(word))
+        if match is not None:
+            slot, dual = match
+            value = _pair_word(dual, word)
+            if not value.is_zero():
+                hit = ((slot, value),)
         _coset_cache[word] = hit
     return hit
 
@@ -262,19 +334,30 @@ def plus_part(poly: NCPolynomial) -> NCPolynomial:
     return poly - NCPolynomial.monomial(U_ALPHABET, (), counit(poly))
 
 
-_DUAL_PAIRS = tuple(((r, c), x, y) for r, x in enumerate(SLOT_DUALS)
-                    for c, y in enumerate(SLOT_DUALS))
+@lru_cache(maxsize=None)
+def _dual_pairs_by_weight():
+    """Weight -> the dual pairs ((r, c), x, y) with wt(x) + wt(y) equal to
+    it, in row-major order of (r, c) within each weight."""
+    weights = functional_weights()
+    groups = {}
+    for r, x in enumerate(SLOT_DUALS):
+        for c, y in enumerate(SLOT_DUALS):
+            weight = rootdata.add(weights[x], weights[y])
+            groups.setdefault(weight, []).append(((r, c), x, y))
+    return {weight: tuple(pairs) for weight, pairs in groups.items()}
 
 
 def omega(poly: NCPolynomial) -> NCPolynomial:
     """The degree-two coset map, a tensor of V1 (x) V1: its coefficient on
     the word (r, c) is the pairing of the product of the r-th and c-th dual
-    functionals against the input (left tensor leg first)."""
+    functionals against the input (left tensor leg first).  Each word is
+    paired only with the dual pairs of its weight."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input; subtract eps(y) first")
+    groups = _dual_pairs_by_weight()
     terms = {}
     for word, coeff in poly.terms.items():
-        for key, x, y in _DUAL_PAIRS:
+        for key, x, y in groups.get(u_weight(word), ()):
             value = _pair2_word(x, y, word)
             if not value.is_zero():
                 terms[key] = terms.get(key, ZERO) + coeff * value

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from qflag3 import flagext, qpair
+from qflag3 import flagext, qpair, rootdata
 from qflag3.ncpoly import NCPolynomial
 from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word,
                           coset, cotangent, counit, flag_generator,
-                          functional_table, omega, omega_by_expansion,
-                          omega_render, plus_part, right_act, u_monomial)
+                          functional_table, functional_weights, omega,
+                          omega_by_expansion, omega_render, plus_part,
+                          right_act, u_monomial, u_weight)
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -49,6 +50,54 @@ def test_counits():
     grouplike = {"eps", "K1", "K2", "K1K2"}
     for name, functional in table.items():
         assert functional.counit == (ONE if name in grouplike else ZERO)
+
+
+def test_functional_weights():
+    # one weight per member, read off its evaluation entries, and every
+    # coproduct term adds up to it
+    weights = functional_weights()
+    assert weights == {
+        "eps": (0, 0, 0), "K1": (0, 0, 0), "K2": (0, 0, 0), "K1K2": (0, 0, 0),
+        "E_a1": (-1, 1, 0), "E_a2": (0, -1, 1), "E_a2K1": (0, -1, 1),
+        "E_a12": (-1, 0, 1), "F_a1": (1, -1, 0), "F_a2": (0, 1, -1),
+        "F_a2K1": (0, 1, -1), "F_a12": (1, 0, -1)}
+    for name, functional in functional_table().items():
+        for i, j in entries(functional.eval):
+            assert u_weight(qpair.u_word((i, j))) == weights[name]
+        for left, right, _ in functional.coproduct:
+            assert rootdata.add(weights[left], weights[right]) == weights[name]
+
+
+def test_functional_weights_reject_an_ungraded_table(monkeypatch):
+    # a member whose entries disagree on the weight, and a coproduct term of
+    # the wrong weight, each stop the build; E_a2 is in no other member's
+    # coproduct, so only the entry check can catch its mixed entries
+    table = dict(functional_table())
+    e_a1, e_a2 = table["E_a1"], table["E_a2"]
+    mixed = qpair._matadd(e_a2.eval, e_a1.eval)
+    bad_entries = dict(table, E_a2=qpair.Functional(
+        "E_a2", mixed, e_a2.coproduct, e_a2.counit))
+    bad_term = dict(table, E_a1=qpair.Functional(
+        "E_a1", e_a1.eval, (("E_a1", "K1", ONE), ("eps", "E_a2", ONE)), e_a1.counit))
+    for broken in (bad_entries, bad_term):
+        monkeypatch.setattr(qpair, "functional_table", lambda broken=broken: broken)
+        with pytest.raises(AssertionError):
+            functional_weights.__wrapped__()
+
+
+def test_pair_word_vanishes_off_its_weight():
+    # every member on every u-word of length <= 3
+    weights = functional_weights()
+    words = [word for k in range(4) for word in itertools.product(range(9), repeat=k)]
+    assert len(words) == 820
+    nonzero = 0
+    for name, weight in weights.items():
+        for word in words:
+            value = _pair_word(name, word)
+            if u_weight(word) != weight:
+                assert value.is_zero(), (name, word)
+            nonzero += not value.is_zero()
+    assert nonzero > 0
 
 
 def test_pair_examples():
@@ -172,14 +221,17 @@ def test_omega_agrees_with_explicit_expansion():
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     # the check never reaches the product-functional pairing it checks, nor
-    # the coset cache, and adds no entry to any pairing cache
+    # the coset cache or the weights that prune omega and coset, and adds no
+    # entry to any pairing cache
     samples = omega_samples()
     expected = [omega(poly) for poly in samples]
 
     def forbidden(*args):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
-    for name in ("_pair2_word", "_steps2", "_coset_word"):
+    for name in ("_pair2_word", "_steps2", "_coset_word", "u_weight",
+                 "functional_weights", "_dual_pairs_by_weight",
+                 "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)
     caches = (qpair._pair_cache, qpair._coset_cache, qpair._pair2_cache)
     sizes = [len(cache) for cache in caches]
@@ -226,19 +278,23 @@ def test_product_pairing_is_the_coproduct_expansion():
     # for every ordered pair of family members, not only the 36 dual pairs
     # omega reaches, and every word of length <= 2: x*y paired with
     # u_(i1 j1)...u_(ik jk) is the sum over a of x(u_(i1 a1)...u_(ik ak))
-    # times y(u_(a1 j1)...u_(ak jk))
-    names = list(functional_table())
+    # times y(u_(a1 j1)...u_(ak jk)); and it is zero unless the word's weight
+    # is wt(x) + wt(y)
+    weights = functional_weights()
     words = [word for k in range(3) for word in itertools.product(range(9), repeat=k)]
-    assert (len(names) ** 2, len(words)) == (144, 91)
-    for x in names:
-        for y in names:
+    assert (len(weights) ** 2, len(words)) == (144, 91)
+    for x, wx in weights.items():
+        for y, wy in weights.items():
             for word in words:
                 expected = ZERO
                 for mids in itertools.product(range(3), repeat=len(word)):
                     left = tuple(3 * (letter // 3) + a for letter, a in zip(word, mids))
                     right = tuple(3 * a + letter % 3 for letter, a in zip(word, mids))
                     expected = expected + _pair_word(x, left) * _pair_word(y, right)
-                assert _pair2_word(x, y, word) == expected, (x, y, word)
+                value = _pair2_word(x, y, word)
+                assert value == expected, (x, y, word)
+                if u_weight(word) != rootdata.add(wx, wy):
+                    assert value.is_zero(), (x, y, word)
 
 
 def test_right_act_single_letters():
