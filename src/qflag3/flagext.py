@@ -250,7 +250,7 @@ def ideal_generators():
     Every element is validated to lie in the ideal: counit zero and all six
     tangent pairings vanishing.
     """
-    z = qpair.flag_generator
+    z = qpair.all_flag_generators()
     plus = qpair.plus_part
     nu = Coefficient.nu()
     q = Coefficient.q_power
@@ -260,9 +260,9 @@ def ideal_generators():
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 if (p, a, b) not in _B_TRIPLES:
-                    gens.append(("lin:z%d_%d%d+" % (p, a, b), plus(z(p, a, b))))
-    gens.append(("lin:z1_31+z2_31", z(1, 3, 1) + z(2, 3, 1)))
-    gens.append(("lin:q2*z1_13+z2_13", z(1, 1, 3).scale(q(2)) + z(2, 1, 3)))
+                    gens.append(("lin:z%d_%d%d+" % (p, a, b), plus(z[p, a, b])))
+    gens.append(("lin:z1_31+z2_31", z[1, 3, 1] + z[2, 3, 1]))
+    gens.append(("lin:q2*z1_13+z2_13", z[1, 1, 3].scale(q(2)) + z[2, 1, 3]))
 
     # the two products whose bare form is not in the ideal enter corrected
     corrected = {((1, 2, 1), (2, 3, 2)), ((1, 1, 2), (2, 2, 3))}
@@ -273,11 +273,11 @@ def ideal_generators():
                     if ((i, k, l), (p, a, b)) in corrected:
                         continue
                     gens.append(("quad:z%d_%d%d*z%d_%d%d+" % (i, k, l, p, a, b),
-                                 z(i, k, l) * plus(z(p, a, b))))
+                                 z[i, k, l] * plus(z[p, a, b])))
     gens.append(("corr:z1_21*z2_32-nu*z2_31",
-                 z(1, 2, 1) * z(2, 3, 2) - z(2, 3, 1).scale(nu)))
+                 z[1, 2, 1] * z[2, 3, 2] - z[2, 3, 1].scale(nu)))
     gens.append(("corr:z1_12*z2_23-q*nu*z1_13",
-                 z(1, 1, 2) * z(2, 2, 3) - z(1, 1, 3).scale(q(1) * nu)))
+                 z[1, 1, 2] * z[2, 2, 3] - z[1, 1, 3].scale(q(1) * nu)))
 
     for label, gen in gens:
         if not qpair.counit(gen).is_zero() or not qpair.coset(gen).is_zero():

@@ -294,11 +294,15 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     independently of the rewrite engine.
 
     Each row is pivoted at its largest word, as in Macaulay-matrix (F4)
-    elimination, and rows are taken by leading word, sparsest first.  A raw
-    row's largest word is u*lhs*v with coefficient 1, so most pivots are
-    monic and the elimination mostly stays in Z[q, q^-1].  The rank of the
-    row set does not depend on the order in which rows are taken or on the
-    column each is pivoted at, so the dimension does not either.
+    elimination.  Every rhs word precedes its lhs, so the raw row
+    u*(lhs - rhs)*v leads with u*lhs*v.  The rows are made word by word in
+    column order, the rows of one leading word sparsest first and then in rule
+    order, and each is reduced as soon as it is made, so the raw rows are
+    never all in memory.  A pivot is stored as its tail divided by minus its
+    lead: a reduction step pops the row's lead and adds that multiple of the
+    tail, and never computes the cancelled lead.  The rank of the row set does
+    not depend on the order in which rows are taken or on the column each is
+    pivoted at, so the dimension does not either.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -310,40 +314,31 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     for _ in range(degree):
         all_words = [w + (letter,) for w in all_words for letter in range(n)]
     col = {w: i for i, w in enumerate(all_words)}
-
-    def pad_words(length):
-        out = [()]
-        for _ in range(length):
-            out = [w + (letter,) for w in out for letter in range(n)]
-        return out
-
-    rows = []
-    for rule in system.rules:
-        relation = [(rule.lhs, ONE)] + [(w, -c) for w, c in rule.rhs.terms.items()]
-        for left_len in range(degree - 1):
-            for u in pad_words(left_len):
-                for v in pad_words(degree - 2 - left_len):
-                    rows.append({col[u + w + v]: c for w, c in relation})
+    relations = sorted(([(rule.lhs, ONE)] + [(w, -c) for w, c in rule.rhs.terms.items()]
+                        for rule in system.rules), key=len)
+    index_of = {relation[0][0]: i for i, relation in enumerate(relations)}
 
     # sparse row reduction over the exact coefficient field
-    rows.sort(key=lambda row: (max(row), len(row)))
     pivots = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = max(row)
-            if lead not in pivots:
-                inv = row[lead]
-                row = {j: c / inv for j, c in row.items()}
-                pivots[lead] = row
-                rank += 1
-                break
-            factor = -row[lead]
-            for j, c in pivots[lead].items():
-                new = row.get(j, ZERO) + factor * c
-                if new.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = new
-        # empty row: linearly dependent, nothing to do
-    return n ** degree - rank
+    for word in all_words:
+        placements = sorted((index_of[word[p:p + 2]], p) for p in range(degree - 1)
+                            if word[p:p + 2] in index_of)
+        for i, p in placements:
+            u, v = word[:p], word[p + 2:]
+            row = {col[u + w + v]: c for w, c in relations[i]}
+            while row:
+                lead = max(row)
+                tail = pivots.get(lead)
+                if tail is None:
+                    scale = -row.pop(lead)
+                    pivots[lead] = {j: c / scale for j, c in row.items()}
+                    break
+                factor = row.pop(lead)
+                for j, c in tail.items():
+                    new = row.get(j, ZERO) + factor * c
+                    if new.is_zero():
+                        row.pop(j, None)
+                    else:
+                        row[j] = new
+            # empty row: linearly dependent, nothing to do
+    return n ** degree - len(pivots)

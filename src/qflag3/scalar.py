@@ -317,6 +317,13 @@ class Coefficient:
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division of coefficients by zero")
+        if other.den is _LP_ONE and len(other.num.terms) == 1:
+            (exp, value), = other.num.terms.items()
+            if value == 1 or value == -1:
+                # a unit +-q^k: scaling the numerator keeps the pair canonical
+                result = Coefficient.__new__(Coefficient)
+                result.num, result.den = self.num * LaurentPoly({-exp: value}), self.den
+                return result
         return Coefficient(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):

@@ -81,6 +81,42 @@ def test_failing_check_exits_one(monkeypatch):
     assert cli.main(["verify", "kahler"]) == 1
 
 
+def test_a_fault_in_a_suite_is_one_failing_check(monkeypatch, capsys):
+    # a failed build-time assertion or an arithmetic fault aborts only its own
+    # suite, which reports it as one failing check; every other suite still runs
+    def failed_assertion():
+        raise AssertionError("generator lin:z1_11+ is not in the ideal\nsecond line")
+
+    def division_by_zero():
+        return 1 // 0
+
+    monkeypatch.setitem(suites._BUILDERS, "kahler", failed_assertion)
+    monkeypatch.setitem(suites._BUILDERS, "acs", division_by_zero)
+    assert cli.main(["verify", "all", "--format", "json"]) == 1
+    payload = {r["suite"]: r for r in json.loads(capsys.readouterr().out)}
+    assert list(payload) == list(suites.SUITE_NAMES)
+    assert payload["kahler"]["checks"] == [{
+        "id": "kahler:aborted", "citation": "-", "expected": "the suite completes",
+        "actual": "AssertionError: generator lin:z1_11+ is not in the ideal",
+        "pass": False}]
+    assert payload["acs"]["checks"][0]["actual"] == \
+        "ZeroDivisionError: integer division or modulo by zero"
+    assert payload["acs"]["overall"] is False
+    recorded = {r["suite"]: r for r in json.loads(RECORDED_REPORT.read_text(encoding="utf-8"))}
+    for name in set(suites.SUITE_NAMES) - {"kahler", "acs"}:
+        assert payload[name] == recorded[name]
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+def test_a_programming_error_in_a_suite_propagates(monkeypatch, error):
+    def broken():
+        raise error("broken builder")
+
+    monkeypatch.setitem(suites._BUILDERS, "kahler", broken)
+    with pytest.raises(error):
+        suites.run_suite("kahler")
+
+
 def test_verdicts_ignore_the_environment():
     # a variable that once inverted verdicts for exit-code testing is now inert
     result = run_cli("verify", "all", "--format", "json",

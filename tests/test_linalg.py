@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qflag3 import linalg
 from qflag3.flagext import associated_graded, build_relations
-from qflag3.scalar import Coefficient, LaurentPoly, ONE, ZERO
+from qflag3.scalar import _LP_ONE, Coefficient, LaurentPoly, ONE, ZERO
 
 Q = Coefficient.q_power
 NU = Coefficient.nu()
@@ -150,6 +150,23 @@ def test_fast_path_equals_the_general_path(p, r):
     assert total == Coefficient(a.num * b.den + b.num * a.den, a.den * b.den)
     for fast in (product, total):
         assert fast.den.terms == {0: 1} and fast.is_zero() == (not fast.num.terms)
+
+
+units = st.builds(lambda sign, exp: Coefficient(LaurentPoly({exp: sign})),
+                  st.sampled_from([1, -1]), st.integers(-4, 4))
+
+
+@_SETTINGS
+@given(st.one_of(coefficients, integer_coefficients, units), units)
+def test_division_by_a_unit_equals_the_general_path(a, u):
+    # dividing by +-q^k skips _canonicalize; the + and * fast paths need the
+    # quotient's denominator to be the shared one whenever it is 1
+    quotient = a / u
+    assert quotient == Coefficient(a.num * u.den, a.den * u.num)
+    assert _stored_exactly(quotient)
+    if quotient.den.terms == {0: 1}:
+        assert quotient.den is _LP_ONE
+    assert u / u == ONE and (u / u).den is _LP_ONE
 
 
 def test_monic_divides_a_non_unit_leading_coefficient_exactly():

@@ -42,13 +42,16 @@ def test_benchmark_counters_resolve():
 def test_benchmark_oracle_counters_read_the_oracle():
     # perfbench/ops.py counts the oracle's rows and pivots by profiling its
     # row-building comprehension and the comprehension that divides by the
-    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200
+    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200,
+    # degree 4 has 21 x 108 = 2,268 rows of rank 6^4 - 9 = 1,287, so every
+    # placement is made once and every pivot is divided once
     ops = _load_benchmark_ops()
     system = qflag3.flagext.build_relations().system
-    profiler = cProfile.Profile()
-    profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, 3)
-    counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
-    assert counts == {"ncpoly.oracle_rows": 252, "ncpoly.oracle_rank": 200}
+    for degree, rows, rank in ((3, 252, 200), (4, 2268, 1287)):
+        profiler = cProfile.Profile()
+        profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, degree)
+        counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
+        assert counts == {"ncpoly.oracle_rows": rows, "ncpoly.oracle_rank": rank}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
