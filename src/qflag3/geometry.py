@@ -51,17 +51,6 @@ def satisfies_star_swap(holo) -> bool:
                for k, letter in enumerate(LETTERS))
 
 
-def _span_closed_under_flag_action(letters) -> bool:
-    indices = {LETTERS.index(l) for l in letters}
-    generators = qpair.all_flag_generators().values()
-    for letter in letters:
-        vec = qpair.cotangent(letter)
-        for z in generators:
-            if any(k not in indices for (k,) in qpair.right_act(vec, z).terms):
-                return False
-    return True
-
-
 def candidate_splittings():
     """All 64 subsets of the six letters, each a candidate holomorphic half."""
     return tuple(frozenset(l for k, l in enumerate(LETTERS) if bits & (1 << k))
@@ -71,15 +60,19 @@ def candidate_splittings():
 @lru_cache(maxsize=None)
 def enumerate_foacs():
     """The candidate splittings, filtered by the star-swap condition and
-    closure of both halves under the right action of the 18 flag generators."""
-    survivors = []
-    for holo in candidate_splittings():
-        if not satisfies_star_swap(holo):
-            continue
-        anti = frozenset(LETTERS) - holo
-        if _span_closed_under_flag_action(holo) and _span_closed_under_flag_action(anti):
-            survivors.append(Foacs(holo))
-    survivors.sort(key=lambda s: s.key())
+    closure of both halves under the right action of the 18 flag generators.
+
+    The letter moves are the pairs (s, t) such that some generator acting on
+    the letter s has t in its support.  Both halves are closed exactly when
+    no move crosses the split, so each candidate is read off the moves.
+    """
+    moves = {(s, t) for s, letter in enumerate(LETTERS)
+             for z in qpair.all_flag_generators().values()
+             for (t,) in qpair.right_act(qpair.cotangent(letter), z).terms}
+    survivors = [Foacs(holo) for holo in candidate_splittings()
+                 if satisfies_star_swap(holo)
+                 and all((LETTERS[s] in holo) == (LETTERS[t] in holo) for s, t in moves)]
+    survivors.sort(key=Foacs.key)
     return tuple(survivors)
 
 

@@ -17,7 +17,11 @@ to zero with every word of another weight, and a product x*y with every word
 whose weight is not wt(x) + wt(y).  ``omega`` tries only the dual pairs of
 the word's weight, and ``coset`` only the one slot dual of that weight; the
 pairing recursion below a matching call needs no test, since every call it
-makes matches too.
+makes matches too.  Each pairing has one memo: ``_pair_cache`` for single
+functionals, which ``coset`` reads too, and ``_pair2_cache`` for products.
+
+The eighteen flag generators z^{alpha_p}_{ab} are built once, on first use,
+into one read-only table that every caller shares.
 
 ``omega_by_expansion`` checks omega independently: it pairs only through
 single functionals, in one depth-first walk per word over the intermediate
@@ -28,6 +32,7 @@ It reads no weight, so it also checks that the pruning drops only zeros.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import rootdata
 from .ncpoly import Alphabet, NCPolynomial
@@ -278,9 +283,6 @@ def cotangent(*letters, coeff=ONE) -> NCPolynomial:
         COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
 
 
-_coset_cache = {}
-
-
 @lru_cache(maxsize=None)
 def _slot_dual_by_weight():
     """Weight -> (slot, dual): the six slot duals have distinct weights."""
@@ -291,32 +293,20 @@ def _slot_dual_by_weight():
     return by_weight
 
 
-def _coset_word(word):
-    """The nonzero (slot, value) pairs of the coset of one u-word: at most
-    one, from the slot dual of the word's weight."""
-    hit = _coset_cache.get(word)
-    if hit is None:
-        hit = ()
-        match = _slot_dual_by_weight().get(u_weight(word))
-        if match is not None:
-            slot, dual = match
-            value = _pair_word(dual, word)
-            if not value.is_zero():
-                hit = ((slot, value),)
-        _coset_cache[word] = hit
-    return hit
-
-
 def coset(poly: NCPolynomial) -> NCPolynomial:
     """Coset of a u-polynomial in the cotangent space, a degree-1 tensor.
 
     The component on each basis vector is the pairing with its dual
-    functional; constants die automatically since all six vanish on 1.
+    functional, so a word meets at most one slot: the one whose dual has the
+    word's weight.  Constants die automatically since all six vanish on 1.
     """
+    by_weight = _slot_dual_by_weight()
     terms = {}
     for word, coeff in poly.terms.items():
-        for slot, value in _coset_word(word):
-            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * value
+        match = by_weight.get(u_weight(word))
+        if match is not None:
+            slot, dual = match
+            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * _pair_word(dual, word)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
@@ -513,15 +503,20 @@ def antipode_word(i: int, j: int) -> NCPolynomial:
     return first + second
 
 
+@lru_cache(maxsize=None)
+def all_flag_generators():
+    """The eighteen generators z^{alpha_p}_{ab} = u_(a,c) S(u_(c,b)), with
+    c = 1 for p = 1 and c = 3 for p = 2, keyed (p, a, b): built on first use
+    and shared read-only."""
+    return MappingProxyType({
+        (p, a, b): u_monomial((a, col)) * antipode_word(col, b)
+        for p, col in ((1, 1), (2, 3)) for a in (1, 2, 3) for b in (1, 2, 3)})
+
+
 def flag_generator(p: int, a: int, b: int) -> NCPolynomial:
     """The flag-algebra generator z^{alpha_p}_{ab} as a u-polynomial."""
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    col = 1 if p == 1 else 3
-    return u_monomial((a, col)) * antipode_word(col, b)
-
-
-def all_flag_generators():
-    """The eighteen generators z^{alpha_p}_{ab}, keyed (p, a, b)."""
-    return {(p, a, b): flag_generator(p, a, b)
-            for p in (1, 2) for a in (1, 2, 3) for b in (1, 2, 3)}
+    try:
+        return all_flag_generators()[p, a, b]
+    except KeyError:
+        raise ValueError("no flag generator (p, a, b) = (%r, %r, %r): p must be "
+                         "1 or 2, and a and b 1, 2 or 3" % (p, a, b)) from None

@@ -86,50 +86,51 @@ def test_derive_relations_via_omega():
     assert witnesses == []
 
 
-def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel():
+def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel(time_limit):
     # a route that does not use ideal_generators(): the kernel of (counit,
     # coset) on the span of the 18 flag generators and their 324 products
-    algebra = build_relations()
-    zs = qpair.all_flag_generators()
-    keys = sorted(zs)
-    polys = [zs[k] for k in keys] + [zs[a] * zs[b] for a in keys for b in keys]
-    span = {}
-    for poly in polys:
-        linalg.insert_pivot(poly.terms, span)
-    assert len(span) == 342
-    # eliminate the rows (counit, coset | omega) with the seven kernel columns
-    # first: the pivots leading past them span omega of the kernel.  omega is
-    # linear and vanishes on 1, so omega(plus_part(y)) extends it to any y.
-    stacked = {}
-    for poly in polys:
-        row = {(0,) + w: c for w, c in qpair.coset(poly).terms.items()}
-        if not qpair.counit(poly).is_zero():
-            row[(0,)] = qpair.counit(poly)
-        for w, c in qpair.omega(qpair.plus_part(poly)).terms.items():
-            row[(1,) + w] = c
-        linalg.insert_pivot(row, stacked)
-    assert len(span) - sum(1 for lead in stacked if lead[0] == 0) == 335
+    with time_limit(5):
+        algebra = build_relations()
+        zs = qpair.all_flag_generators()
+        keys = sorted(zs)
+        polys = [zs[k] for k in keys] + [zs[a] * zs[b] for a in keys for b in keys]
+        span = {}
+        for poly in polys:
+            linalg.insert_pivot(poly.terms, span)
+        assert len(span) == 342
+        # eliminate the rows (counit, coset | omega) with the seven kernel columns
+        # first: the pivots leading past them span omega of the kernel.  omega is
+        # linear and vanishes on 1, so omega(plus_part(y)) extends it to any y.
+        stacked = {}
+        for poly in polys:
+            row = {(0,) + w: c for w, c in qpair.coset(poly).terms.items()}
+            if not qpair.counit(poly).is_zero():
+                row[(0,)] = qpair.counit(poly)
+            for w, c in qpair.omega(qpair.plus_part(poly)).terms.items():
+                row[(1,) + w] = c
+            linalg.insert_pivot(row, stacked)
+        assert len(span) - sum(1 for lead in stacked if lead[0] == 0) == 335
 
-    derived = {}
-    for lead, row in stacked.items():
-        if lead[0] == 1:
-            linalg.insert_pivot({j[1:]: c for j, c in row.items()}, derived)
-    encoded_vectors = flagext.encoded_relation_vectors(algebra)
-    encoded = {}
-    for vec in encoded_vectors:
-        linalg.insert_pivot(vec, encoded)
-    assert len(derived) == len(encoded) == 21
-    assert not any(linalg.reduce(vec, derived) for vec in encoded_vectors)
-    assert not any(linalg.reduce(vec, encoded) for vec in derived.values())
+        derived = {}
+        for lead, row in stacked.items():
+            if lead[0] == 1:
+                linalg.insert_pivot({j[1:]: c for j, c in row.items()}, derived)
+        encoded_vectors = flagext.encoded_relation_vectors(algebra)
+        encoded = {}
+        for vec in encoded_vectors:
+            linalg.insert_pivot(vec, encoded)
+        assert len(derived) == len(encoded) == 21
+        assert not any(linalg.reduce(vec, derived) for vec in encoded_vectors)
+        assert not any(linalg.reduce(vec, encoded) for vec in derived.values())
 
-    # the span is closed under the right action, so with omega(x b) =
-    # omega(x) . b for x in the kernel it also holds omega of the right ideal
-    # that the kernel generates
-    for vec in encoded_vectors:
-        tensor = NCPolynomial(qpair.COTANGENT_ALPHABET, vec)
-        for key in keys:
-            moved = qpair.right_act(tensor, zs[key])
-            assert not linalg.reduce(moved.terms, encoded), key
+        # the span is closed under the right action, so with omega(x b) =
+        # omega(x) . b for x in the kernel it also holds omega of the right ideal
+        # that the kernel generates
+        for vec in encoded_vectors:
+            tensor = NCPolynomial(qpair.COTANGENT_ALPHABET, vec)
+            for key in keys:
+                moved = qpair.right_act(tensor, zs[key])
+                assert not linalg.reduce(moved.terms, encoded), key
 
 
 def test_ideal_generator_families():

@@ -14,21 +14,23 @@ def _apply(matrix, x):
     return [sum((a * b for a, b in zip(row, x)), ZERO) for row in matrix]
 
 
-def test_solve_with_nontrivial_denominators():
+def test_solve_with_nontrivial_denominators(time_limit):
     matrix = [[Q(1), ONE / (Q(1) + ONE), ZERO],
               [NU, Q(2) - ONE, ONE / NU],
               [ZERO, Q(-1), Q(1) + Q(-1)]]
     rhs = [ONE, ZERO, ONE / (Q(2) + ONE)]
-    x = linalg.solve(matrix, rhs)
+    with time_limit(2):
+        x = linalg.solve(matrix, rhs)
     assert x is not None
     assert _apply(matrix, x) == rhs
     assert any(c.den != ONE.den for c in x)
 
 
-def test_solve_returns_none_on_a_singular_matrix():
+def test_solve_returns_none_on_a_singular_matrix(time_limit):
     row = [Q(1), NU, ONE / (Q(1) + ONE)]
     matrix = [row, [c * NU for c in row], [ONE, ZERO, Q(3)]]
-    assert linalg.solve(matrix, [ONE, ZERO, ZERO]) is None
+    with time_limit(2):
+        assert linalg.solve(matrix, [ONE, ZERO, ZERO]) is None
 
 
 def _degree_3_ideal_rows(system):
@@ -42,10 +44,11 @@ def _degree_3_ideal_rows(system):
     return rows
 
 
-def test_degree_3_ideal_rank_matches_the_oracle():
+def test_degree_3_ideal_rank_matches_the_oracle(time_limit):
     # 216 words minus the oracle's dimensions 16 (full) and 20 (graded)
-    assert linalg.rank(_degree_3_ideal_rows(build_relations().system)) == 200
-    assert linalg.rank(_degree_3_ideal_rows(associated_graded().system)) == 196
+    with time_limit(5):
+        assert linalg.rank(_degree_3_ideal_rows(build_relations().system)) == 200
+        assert linalg.rank(_degree_3_ideal_rows(associated_graded().system)) == 196
 
 
 # -- Coefficient is a field ----------------------------------------------------

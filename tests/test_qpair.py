@@ -183,6 +183,23 @@ def test_flag_generator_cosets():
         assert coset(flag_generator(*key)) == cotangent(letter).scale(scalar)
 
 
+@pytest.mark.parametrize("key", [(0, 1, 1), (3, 1, 1), (1, 0, 1), (1, 4, 1),
+                                 (1, 1, 0), (1, 1, 4), (2, -1, 2), (2, 2, -3)])
+def test_flag_generator_rejects_indices_out_of_range(key):
+    with pytest.raises(ValueError, match="p must be 1 or 2, and a and b 1, 2 or 3"):
+        flag_generator(*key)
+
+
+def test_flag_generators_are_one_read_only_table():
+    table = all_flag_generators()
+    assert table is all_flag_generators()
+    assert sorted(table) == [(p, a, b) for p in (1, 2) for a in (1, 2, 3)
+                             for b in (1, 2, 3)]
+    assert all(flag_generator(*key) is z for key, z in table.items())
+    with pytest.raises(TypeError):
+        table[1, 1, 1] = one_word()
+
+
 def test_flag_generator_counits():
     # the counit contracts through the interior index: eps(z^p_ab) is 1 only
     # when both exterior indices match the defining column
@@ -221,19 +238,19 @@ def test_omega_agrees_with_explicit_expansion():
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     # the check never reaches the product-functional pairing it checks, nor
-    # the coset cache or the weights that prune omega and coset, and adds no
-    # entry to any pairing cache
+    # coset or the weights that prune omega and coset, and adds no entry to
+    # any pairing cache
     samples = omega_samples()
     expected = [omega(poly) for poly in samples]
 
     def forbidden(*args):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
-    for name in ("_pair2_word", "_steps2", "_coset_word", "u_weight",
+    for name in ("_pair2_word", "_steps2", "coset", "u_weight",
                  "functional_weights", "_dual_pairs_by_weight",
                  "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)
-    caches = (qpair._pair_cache, qpair._coset_cache, qpair._pair2_cache)
+    caches = (qpair._pair_cache, qpair._pair2_cache)
     sizes = [len(cache) for cache in caches]
     assert [omega_by_expansion(poly) for poly in samples] == expected
     assert [len(cache) for cache in caches] == sizes
