@@ -5,15 +5,13 @@ derivation of the quadratic relations through the two-fold coset map.
 
 from qflag3 import flagext, qpair
 
-table = qpair.functional_table()
-
 print("== evaluation matrices (nonzero entries) ==")
 for name in ("E_a1", "E_a2", "E_a12", "F_a1", "F_a2", "F_a12", "K1", "K2"):
-    entries = [
-        "(%d,%d)=%s" % (i + 1, j + 1, table[name].eval[i][j].render())
-        for i in range(3) for j in range(3)
-        if not table[name].eval[i][j].is_zero()
-    ]
+    # the entry (i, j) is the pairing with the single letter u_ij
+    values = [((i, j), qpair.pair(name, qpair.u_word((i, j))))
+              for i in (1, 2, 3) for j in (1, 2, 3)]
+    entries = ["(%d,%d)=%s" % (i, j, value.render())
+               for (i, j), value in values if not value.is_zero()]
     print("  %-6s %s" % (name, ", ".join(entries)))
 
 print("\n== cosets of the coordinate representatives ==")

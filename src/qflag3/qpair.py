@@ -1,37 +1,31 @@
 """Dual-pairing engine for the quantum coordinate algebra of SU_q(3).
 
-A closed family of twelve functionals is represented by 3x3 evaluation
-matrices on the generators u_ij together with finite coproduct expansions
-inside the family.  From these we obtain pairings against words in the u_ij,
-coset maps onto the six-dimensional cotangent space V1, the two-fold
-coproduct map omega, and the right module action on tensors of V1, derived
-from the coproducts of the six slot duals.  A tensor of V1^(x)k is a
+Every pairing comes from the Drinfeld-Jimbo generators of U_q(sl_3)
+(Jantzen, Lectures on Quantum Groups, ch. 4).  A generator pairs with u_rc
+by the entry (r, c) of its matrix in the vector representation, and the
+coproducts Delta(E_i) = E_i (x) K_i + 1 (x) E_i, Delta(F_i) = F_i (x) 1 +
+K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.  A
+functional is a polynomial in the generators, kept as a sum of states:
+generator words in normal form, the E/F letters followed by K1^a K2^b.  From
+these come the coset map onto the cotangent space V1, the two-fold coproduct
+map omega, and the right module action on V1^(x)k, a tensor of which is a
 degree-k polynomial over the cotangent alphabet.
 
-The pairing is graded by weight.  The letter u_ij has weight e_i - e_j, a
-word the sum of its letters' weights, and each member of the family the
-weight of the positions of its nonzero evaluation entries (0 for the
-group-likes).  ``functional_weights`` derives these and checks that every
-coproduct term preserves them, so by induction on word length a member pairs
-to zero with every word of another weight, and a product x*y with every word
-whose weight is not wt(x) + wt(y).  ``omega`` tries only the dual pairs of
-the word's weight, and ``coset`` only the one slot dual of that weight; the
-pairing recursion below a matching call needs no test, since every call it
-makes matches too.  Each pairing has one memo: ``_pair_cache`` for single
-functionals, which ``coset`` reads too, and ``_pair2_cache`` for products.
-
-The eighteen flag generators z^{alpha_p}_{ab} are built once, on first use,
-into one read-only table that every caller shares.
-
-``omega_by_expansion`` checks omega independently: it pairs only through
-single functionals, in one depth-first walk per word over the intermediate
-index tuples, from the right end of the word, and caches nothing per word.
-It reads no weight, so it also checks that the pruning drops only zeros.
+The pairing is graded by weight: u_ij has weight e_i - e_j, an E/F letter the
+weight of its matrix entry, a K power 0, and words and states the sum over
+their letters.  A state pairs to zero with every word of another weight, and
+``functional_weights`` checks that each member's states share one weight, so
+``omega`` tries only the dual pairs of a word's weight and ``coset`` only the
+slot dual of that weight.  Each pairing has one memo: ``_pair_cache`` for
+states and ``_pair2_cache`` for products of members.  ``omega_by_expansion``
+checks omega independently: it walks each word's intermediate index tuples
+through single states, reads no weight and caches nothing per word.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from types import MappingProxyType
 
 from . import rootdata
@@ -59,90 +53,73 @@ def u_monomial(*pairs, coeff=ONE) -> NCPolynomial:
     return NCPolynomial.monomial(U_ALPHABET, u_word(*pairs), coeff)
 
 
-class Functional:
-    """A member of the closed dual family: evaluation matrix plus coproduct."""
+# -- the generators of U_q(sl_3) ------------------------------------------------
 
-    __slots__ = ("name", "eval", "coproduct", "counit")
+_Q = Coefficient.q_power
 
-    def __init__(self, name, eval_matrix, coproduct, counit):
-        self.name = name
-        self.eval = eval_matrix          # 3x3 nested tuple of Coefficient
-        self.coproduct = coproduct       # tuple of (left name, right name, scale)
-        self.counit = counit
+# Each generator's matrix in the vector representation, row -> (column,
+# value): a row holds at most one nonzero entry, and the generator pairs with
+# u_rc by the entry (r, c).  The K matrices are diagonal.
+GENERATORS = {
+    "E1": {2: (1, ONE)}, "E2": {3: (2, ONE)}, "F1": {1: (2, ONE)}, "F2": {2: (3, ONE)},
+    "K1": {1: (1, _Q(-1)), 2: (2, _Q(1)), 3: (3, ONE)},
+    "K2": {1: (1, ONE), 2: (2, _Q(-1)), 3: (3, _Q(1))},
+}
+# Delta(X_i) = X_i (x) K_i^m + K_i^n (x) X_i, with (m, n) by the kind of X
+COPRODUCT_K_POWERS = {"E": (1, 0), "F": (0, -1)}
+# the simple root of K1 and of K2
+K_ROOTS = (rootdata.ALPHA1, rootdata.ALPHA2)
 
-
-def _matmul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO) for j in range(3))
-        for i in range(3))
-
-
-def _matscale(a, c):
-    return tuple(tuple(entry * c for entry in row) for row in a)
-
-
-def _matadd(a, b):
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def _single(i, j, value):
-    return tuple(
-        tuple(value if (r, c) == (i - 1, j - 1) else ZERO for c in range(3))
-        for r in range(3))
+# The family, each member a polynomial in the generators as (coefficient,
+# word) terms: the six slot duals, with Lusztig's root vectors
+# E_a12 = E2 E1 - q^-1 E1 E2 and F_a12 = q^-1 K1 K2 (F1 F2 - q^-1 F2 F1),
+# and the group-likes K1 and K2.
+MEMBERS = {
+    "K1": ((ONE, "K1"),), "K2": ((ONE, "K2"),),
+    "E_a1": ((ONE, "E1"),), "E_a2": ((ONE, "E2"),),
+    "E_a12": ((ONE, "E2 E1"), (-_Q(-1), "E1 E2")),
+    "F_a1": ((ONE, "K1 F1"),), "F_a2": ((ONE, "K2 F2"),),
+    "F_a12": ((_Q(-1), "K1 K2 F1 F2"), (-_Q(-2), "K1 K2 F2 F1")),
+}
 
 
-def _diag(*values):
-    return tuple(
-        tuple(values[r] if r == c else ZERO for c in range(3)) for r in range(3))
+def _k_power(letter, power):
+    """K_i^power for the letter X_i, as the factor (a, b) of K1^a K2^b."""
+    return (power, 0) if letter[1] == "1" else (0, power)
 
 
 @lru_cache(maxsize=None)
-def functional_table():
-    """The twelve-member closed family, with composites built by matrix products."""
-    q = Coefficient.q_power
-    nu = Coefficient.nu()
+def _letter_weight(letter):
+    """The weight e_r - e_c of an E/F letter whose one matrix entry is (r, c)."""
+    (row, (col, _)), = GENERATORS[letter].items()
+    return tuple((k == row) - (k == col) for k in (1, 2, 3))
 
-    # primitive pairing data for the generators of the enveloping algebra
-    E1 = _single(2, 1, ONE)
-    E2 = _single(3, 2, ONE)
-    F1 = _single(1, 2, ONE)
-    F2 = _single(2, 3, ONE)
-    K1 = _diag(q(-1), q(1), ONE)
-    K2 = _diag(ONE, q(-1), q(1))
-    IDENT = _diag(ONE, ONE, ONE)
 
-    K1K2 = _matmul(K1, K2)
-    E_a12 = _matadd(_matmul(E2, E1), _matscale(_matmul(E1, E2), -q(-1)))
-    F_a1 = _matmul(K1, F1)
-    F_a2 = _matmul(K2, F2)
-    bracket = _matadd(_matmul(F1, F2), _matscale(_matmul(F2, F1), -q(-1)))
-    F_a12 = _matscale(_matmul(K1K2, bracket), q(-1))
-    E_a2K1 = _matmul(E2, K1)
-    F_a2K1 = _matmul(F_a2, K1)
+def _normal_form(factors):
+    """A generator word as (coefficient, state), a state being its E/F
+    letters followed by the exponents a, b of K1^a K2^b.  Every K power moves
+    right past each E/F letter X after it: K_i^n X = q^(-n (alpha_i, wt X)) X K_i^n."""
+    letters, k, shift = [], (0, 0), 0
+    for factor in factors:
+        if isinstance(factor, str):
+            if k != (0, 0):
+                weight = _letter_weight(factor)
+                shift -= sum(power * rootdata.inner_product(root, weight)
+                             for power, root in zip(k, K_ROOTS))
+            letters.append(factor)
+        else:
+            k = rootdata.add(k, factor)
+    return (Coefficient.q_power(shift) if shift else ONE), tuple(letters) + k
 
-    table = {}
 
-    def define(name, matrix, coproduct, grouplike=False):
-        table[name] = Functional(name, matrix, tuple(coproduct),
-                                 ONE if grouplike else ZERO)
-
-    define("eps", IDENT, [("eps", "eps", ONE)], grouplike=True)
-    define("K1", K1, [("K1", "K1", ONE)], grouplike=True)
-    define("K2", K2, [("K2", "K2", ONE)], grouplike=True)
-    define("K1K2", K1K2, [("K1K2", "K1K2", ONE)], grouplike=True)
-    define("E_a1", E1, [("E_a1", "K1", ONE), ("eps", "E_a1", ONE)])
-    define("E_a2", E2, [("E_a2", "K2", ONE), ("eps", "E_a2", ONE)])
-    define("E_a2K1", E_a2K1, [("E_a2K1", "K1K2", ONE), ("K1", "E_a2K1", ONE)])
-    define("E_a12", E_a12, [("E_a12", "K1K2", ONE),
-                            ("E_a1", "E_a2K1", q(-1) * nu),
-                            ("eps", "E_a12", ONE)])
-    define("F_a1", F_a1, [("F_a1", "K1", ONE), ("eps", "F_a1", ONE)])
-    define("F_a2", F_a2, [("F_a2", "K2", ONE), ("eps", "F_a2", ONE)])
-    define("F_a2K1", F_a2K1, [("F_a2K1", "K1K2", ONE), ("K1", "F_a2K1", ONE)])
-    define("F_a12", F_a12, [("F_a12", "K1K2", ONE),
-                            ("F_a1", "F_a2K1", nu),
-                            ("eps", "F_a12", ONE)])
-    return table
+@lru_cache(maxsize=None)
+def _member_states(name):
+    """The member as a sum of states: (state, coefficient), equal states added."""
+    summed = {}
+    for coeff, word in MEMBERS[name]:
+        scale, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in word.split()])
+        summed[state] = summed.get(state, ZERO) + coeff * scale
+    return tuple((state, c) for state, c in summed.items() if not c.is_zero())
 
 
 # -- weight grading -----------------------------------------------------------
@@ -161,113 +138,117 @@ def u_weight(word):
 
 @lru_cache(maxsize=None)
 def functional_weights():
-    """The weight of each family member, read off its evaluation matrix: the
-    entry (r, c) pairs with u_rc, of weight e_r - e_c.
-
-    Raises AssertionError unless each member's nonzero entries agree on one
-    weight, a member with nonzero counit has weight 0, and every coproduct
-    term (left, right, scale) has wt(left) + wt(right) equal to the member's
-    weight.  The counit check is the base case, and the other two are the
-    step, of the induction on word length that makes a member vanish on
-    words of any other weight.
-    """
-    table = functional_table()
+    """The weight of each member, the sum over each state's E/F letters.
+    Raises AssertionError unless all terms of a member have one weight."""
     weights = {}
-    for name, functional in table.items():
-        found = {u_weight((3 * r + c,)) for r in range(3) for c in range(3)
-                 if not functional.eval[r][c].is_zero()}
+    for name in MEMBERS:
+        found = {reduce(rootdata.add, map(_letter_weight, state[:-2]), (0, 0, 0))
+                 for state, _ in _member_states(name)}
         if len(found) != 1:
             raise AssertionError("%s has no single weight: %s" % (name, sorted(found)))
         weights[name] = found.pop()
-        if not functional.counit.is_zero() and any(weights[name]):
-            raise AssertionError("%s has a nonzero counit off weight 0" % name)
-    for name, functional in table.items():
-        for left, right, _ in functional.coproduct:
-            if rootdata.add(weights[left], weights[right]) != weights[name]:
-                raise AssertionError("%s has a coproduct term %s (x) %s of another weight"
-                                     % (name, left, right))
     return weights
 
 
 # -- pairing ------------------------------------------------------------------
 
-# A pairing against a word is read letter by letter: pairing a functional with
-# u_ij w is the sum over its coproduct terms (left, right, scale) of
-# scale * left(u_ij) * right(w).  The per-letter transitions below hold those
-# sums with the evaluations already taken, so the recursion only walks them.
-
 _pair_cache = {}
 _pair2_cache = {}
 
 
-@lru_cache(maxsize=None)
-def _steps(name):
-    """For each of the nine letters, the nonzero (right, factor) terms that
-    pairing the named functional with that letter leaves on the rest."""
-    table = functional_table()
-    coproduct = table[name].coproduct
-    return tuple(
-        tuple((right, scale * table[left].eval[i][j])
-              for left, right, scale in coproduct
-              if not table[left].eval[i][j].is_zero())
-        for i in range(3) for j in range(3))
+def _entry(factor, row):
+    """The nonzero entry (column, value) in the given row of a factor's
+    matrix, or None: a letter's one entry, or the diagonal of K1^a K2^b."""
+    if isinstance(factor, str):
+        return GENERATORS[factor].get(row)
+    value = ONE
+    for name, power in zip(("K1", "K2"), factor):
+        diagonal = GENERATORS[name][row][1]
+        for _ in range(abs(power)):
+            value = value * diagonal if power > 0 else value / diagonal
+    return row, value
 
 
 @lru_cache(maxsize=None)
-def _steps2(x, y):
-    """For each of the nine letters, the nonzero ((rx, ry), factor) terms of
-    the product functional x*y: its coproduct is the product of the two
-    coproducts, and a left leg lx*ly evaluates by the matrix product."""
-    table = functional_table()
-    merged = [{} for _ in range(9)]
-    for lx, rx, sx in table[x].coproduct:
-        for ly, ry, sy in table[y].coproduct:
-            matrix = _matmul(table[lx].eval, table[ly].eval)
-            for letter, terms in enumerate(merged):
-                entry = matrix[letter // 3][letter % 3]
-                if not entry.is_zero():
-                    terms[rx, ry] = terms.get((rx, ry), ZERO) + sx * sy * entry
-    return tuple(tuple((target, factor) for target, factor in terms.items()
-                       if not factor.is_zero())
-                 for terms in merged)
+def _steps(state, letter):
+    """The nonzero (right state, factor) terms that pairing the state with
+    the letter u_ij leaves on the rest of a word.
+
+    A K power goes to both legs.  Otherwise Delta(X s) = Delta(X) Delta(s)
+    for the first letter X = X_i and the state s of the rest: Delta(X) puts
+    X on the left leg and K_i^m on the right, or K_i^n on the left and X on
+    the right, and the left legs of X and s multiply as matrices."""
+    row, col = divmod(letter, 3)
+    if len(state) == 2:
+        return ((state, _entry(state, row + 1)[1]),) if row == col else ()
+    first, rest = state[0], state[1:]
+    m, n = COPRODUCT_K_POWERS[first[0]]
+    terms = {}
+    for left, right in ((first, _k_power(first, m)), (_k_power(first, n), first)):
+        entry = _entry(left, row + 1)
+        if entry is not None:
+            middle, value = entry
+            for target, factor in _steps(rest, u_index(middle, col + 1)):
+                scale, moved = _normal_form([right, *target[:-2], target[-2:]])
+                terms[moved] = terms.get(moved, ZERO) + value * factor * scale
+    # a factor 1 is the one ONE, which the pairings skip multiplying by
+    return tuple((target, ONE if factor == ONE else factor)
+                 for target, factor in terms.items() if not factor.is_zero())
 
 
-def _pair_word(name, word) -> Coefficient:
-    key = (name, word)
+def _pair_word(state, word) -> Coefficient:
+    key = (state, word)
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
     if not word:
-        value = functional_table()[name].counit
+        # the counit: 1 on a K power, 0 on an E/F letter
+        value = ZERO if len(state) > 2 else ONE
     else:
         rest = word[1:]
         value = ZERO
-        for right, factor in _steps(name)[word[0]]:
+        for right, factor in _steps(state, word[0]):
             tail = _pair_word(right, rest)
             if not tail.is_zero():
-                value = value + factor * tail
+                value = value + (tail if factor is ONE else factor * tail)
     _pair_cache[key] = value
     return value
 
 
-def _pair2_word(x, y, word) -> Coefficient:
-    """Pairing of the product functional x*y against a word.
+def pair(name, word) -> Coefficient:
+    """Pairing of the named member against a u-word."""
+    value = ZERO
+    for state, coeff in _member_states(name):
+        value = value + coeff * _pair_word(state, word)
+    return value
 
-    Equals the sum over all intermediate index tuples of the matrix coproduct
-    of the word, paired with x on the left leg and y on the right leg.
-    """
+
+@lru_cache(maxsize=None)
+def _product_steps(x, y, letter):
+    """The transitions of the product x*y, those of its states added up."""
+    merged = {}
+    for sx, cx in _member_states(x):
+        for sy, cy in _member_states(y):
+            scale, state = _normal_form([*sx[:-2], sx[-2:], *sy[:-2], sy[-2:]])
+            for right, factor in _steps(state, letter):
+                merged[right] = merged.get(right, ZERO) + cx * cy * scale * factor
+    return tuple((right, factor) for right, factor in merged.items() if not factor.is_zero())
+
+
+def _pair2_word(x, y, word) -> Coefficient:
+    """Pairing of the product x*y against a word: the sum over the word's
+    intermediate index tuples of x on the left leg times y on the right."""
     key = (x, y, word)
     hit = _pair2_cache.get(key)
     if hit is not None:
         return hit
     if not word:
-        table = functional_table()
-        value = table[x].counit * table[y].counit
+        value = pair(x, ()) * pair(y, ())  # the counit is multiplicative
     else:
         rest = word[1:]
         value = ZERO
-        for (rx, ry), factor in _steps2(x, y)[word[0]]:
-            tail = _pair2_word(rx, ry, rest)
+        for right, factor in _product_steps(x, y, word[0]):
+            tail = _pair_word(right, rest)
             if not tail.is_zero():
                 value = value + factor * tail
     _pair2_cache[key] = value
@@ -306,7 +287,7 @@ def coset(poly: NCPolynomial) -> NCPolynomial:
         match = by_weight.get(u_weight(word))
         if match is not None:
             slot, dual = match
-            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * _pair_word(dual, word)
+            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * pair(dual, word)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
@@ -355,54 +336,61 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _states():
+    """Every state that the slot duals' states reach through transitions."""
+    states, frontier = set(), [s for dual in SLOT_DUALS for s, _ in _member_states(dual)]
+    while frontier:
+        state = frontier.pop()
+        if state not in states:
+            states.add(state)
+            frontier.extend(right for letter in range(9) for right, _ in _steps(state, letter))
+    return tuple(states)
+
+
+@lru_cache(maxsize=None)
 def _steps_into(letter):
-    """The single-functional transitions of one letter read backwards: a map
-    right leg -> tuple of (functional, factor), so that X(u_letter w) is the
-    sum of factor * right(w) over the entries that name X."""
+    """The transitions of one letter read backwards: right state -> tuple of
+    (state, factor), so that s(u_letter w) is the sum of factor * right(w)
+    over the entries naming s."""
     back = {}
-    for name in functional_table():
-        for right, factor in _steps(name)[letter]:
-            back.setdefault(right, []).append((name, factor))
+    for state in _states():
+        for right, factor in _steps(state, letter):
+            back.setdefault(right, []).append((state, factor))
     return {right: tuple(terms) for right, terms in back.items()}
 
 
 def _prepend(letter, suffix):
-    """The nonzero pairings of the twelve functionals with u_letter w, from
-    their pairings with w (a map functional name -> Coefficient)."""
+    """The nonzero pairings of the states with u_letter w, from their
+    pairings with w (a map state -> Coefficient)."""
     into = _steps_into(letter)
     out = {}
     for right, value in suffix.items():
-        for name, factor in into.get(right, ()):
-            out[name] = out.get(name, ZERO) + factor * value
-    return {name: value for name, value in out.items() if not value.is_zero()}
+        for state, factor in into.get(right, ()):
+            out[state] = out.get(state, ZERO) + (value if factor is ONE else factor * value)
+    return {state: value for state, value in out.items() if not value.is_zero()}
 
 
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     """Reference implementation of omega by explicit expansion of the matrix
     coproduct over all intermediate index tuples (for cross-checks).
 
-    It pairs only through single functionals: u_(i1 j1)...u_(ik jk) splits
-    into u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first
-    walk per word chooses a_k, ..., a_1 from the right end and carries the
-    pairings of every functional with the suffix of each leg; a branch stops
-    once either leg pairs to zero with all of them.  At a full index tuple the
-    slot duals' pairings with the two legs give the coefficient on (r, c)."""
+    It pairs only through single states: u_(i1 j1)...u_(ik jk) splits into
+    u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first walk
+    per word chooses a_k, ..., a_1 and carries the pairings of every state
+    with the suffix of each leg, until either leg pairs to zero with all.  At
+    a full index tuple the slot duals' pairings give the coefficient on (r, c)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
-    empty = {name: f.counit for name, f in functional_table().items()
-             if not f.counit.is_zero()}
     terms = {}
 
     def walk(word, coeff, depth, left, right):
         if not depth:
-            for r, x in enumerate(SLOT_DUALS):
-                lv = left.get(x)
-                if lv is None:
-                    continue
-                for c, y in enumerate(SLOT_DUALS):
-                    rv = right.get(y)
-                    if rv is not None:
-                        terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv * rv)
+            # the slot duals' pairings with the two legs
+            lv, rv = ([sum((c * legs.get(s, ZERO) for s, c in _member_states(dual)), ZERO)
+                       for dual in SLOT_DUALS] for legs in (left, right))
+            for r, c in product(range(6), repeat=2):
+                if not (lv[r].is_zero() or rv[c].is_zero()):
+                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv[r] * rv[c])
             return
         row, col = divmod(word[depth - 1], 3)
         for a in range(3):
@@ -412,6 +400,8 @@ def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
                 if right_a:
                     walk(word, coeff, depth - 1, left_a, right_a)
 
+    # the empty word pairs to the counit, 1 on a K power
+    empty = {state: ONE for state in _states() if len(state) == 2}
     for word, coeff in poly.terms.items():
         walk(word, coeff, len(word), empty, empty)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
@@ -424,29 +414,43 @@ def omega_render(tensor: NCPolynomial) -> str:
 
 # -- right module action ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _letter_action(i: int, j: int):
-    """Sparse action of u_ij on the cotangent basis: a map source slot ->
-    list of (target slot, Coefficient), read off the slot duals' coproducts.
 
-    For x with eps(x) = 0, the coset of x u_ij has on slot t the value
-    X_t(x u_ij): the sum over the coproduct terms (left, right, scale) of the
-    dual X_t of scale * left(x) * right(u_ij).  A slot dual as left leg reads
-    the coset of x on its slot; eps vanishes on x.
+@lru_cache(maxsize=None)
+def _letter_action():
+    """The sparse action of each of the nine letters on the cotangent basis,
+    by letter index: a map source slot -> list of (target slot, Coefficient).
+
+    Each slot dual pairs nonzero with one letter, the slot's representative
+    u_s, by v_s; u_ij moves the slot to coset(u_s u_ij) / v_s.  Raises
+    AssertionError unless every slot has a representative and coset(x u_ij)
+    is the action on coset(x) for every letter u_ij and every
+    counit-corrected word x of length one or two.
     """
-    table = functional_table()
-    action = {}
-    for target, dual in enumerate(SLOT_DUALS):
-        for left, right, scale in table[dual].coproduct:
-            if left == "eps":
-                continue
-            if left not in SLOT_DUALS:
-                raise AssertionError("%s has a left leg %s off the cotangent space"
-                                     % (dual, left))
-            value = scale * table[right].eval[i - 1][j - 1]
-            if not value.is_zero():
-                action.setdefault(SLOT_DUALS.index(left), []).append((target, value))
-    return action
+    def coset_of(word):  # as slot -> Coefficient
+        poly = coset(NCPolynomial.monomial(U_ALPHABET, word))
+        return {slot: value for (slot,), value in poly.terms.items()}
+
+    # a slot's representative is the one letter whose coset lies on it
+    representatives = {slot: (letter, value) for letter in range(9)
+                       for slot, value in coset_of((letter,)).items()}
+    if len(representatives) != len(SLOT_DUALS):
+        raise AssertionError("a slot dual pairs with no single letter")
+    actions = tuple({source: [(target, value / v) for target, value in coset_of((rep, letter)).items()]
+                     for source, (rep, v) in representatives.items()}
+                    for letter in range(9))
+    for word in (w for k in (1, 2) for w in product(range(9), repeat=k)):
+        counit_one = all(letter in (0, 4, 8) for letter in word)
+        base = coset_of(word)
+        for letter, action in enumerate(actions):
+            # x = w - eps(w): coset(x) = coset(w), coset(x u) = coset(w u) - eps(w) coset(u)
+            expected = coset_of((letter,)) if counit_one else {}
+            for source, coeff in base.items():
+                for target, value in action[source]:
+                    expected[target] = expected.get(target, ZERO) + coeff * value
+            if coset_of(word + (letter,)) != {t: v for t, v in expected.items() if not v.is_zero()}:
+                raise AssertionError("the coset of x %s for x = %s - eps is not the action on "
+                                     "coset(x)" % (U_ALPHABET.letters[letter], U_ALPHABET.render_word(word)))
+    return actions
 
 
 def _act_word(word, i: int, j: int) -> dict:
@@ -456,7 +460,7 @@ def _act_word(word, i: int, j: int) -> dict:
         return {(): ONE} if i == j else {}
     out = {}
     for a in (1, 2, 3):
-        moves = _letter_action(i, a).get(word[0])
+        moves = _letter_action()[u_index(i, a)].get(word[0])
         if not moves:
             continue
         tails = _act_word(word[1:], a, j)

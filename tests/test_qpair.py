@@ -5,12 +5,11 @@ import pytest
 
 from qflag3 import flagext, qpair, rootdata
 from qflag3.ncpoly import NCPolynomial
-from qflag3.qpair import (COTANGENT_ALPHABET, U_ALPHABET, _pair2_word,
-                          _pair_word, all_flag_generators, antipode_word,
-                          coset, cotangent, counit, flag_generator,
-                          functional_table, functional_weights, omega,
-                          omega_by_expansion, omega_render, plus_part,
-                          right_act, u_monomial, u_weight)
+from qflag3.qpair import (COTANGENT_ALPHABET, MEMBERS, U_ALPHABET, _pair2_word,
+                          _pair_word, all_flag_generators, antipode_word, coset,
+                          cotangent, counit, flag_generator, functional_weights,
+                          omega, omega_by_expansion, omega_render, pair, plus_part,
+                          right_act, u_monomial, u_weight, u_word)
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -21,110 +20,223 @@ def one_word():
     return NCPolynomial.monomial(U_ALPHABET, ())
 
 
-def pair(name, poly):
-    """Dual pairing of the named functional against a u-polynomial."""
+def pair_poly(name, poly):
+    """Pairing of the named member against a u-polynomial."""
     total = ZERO
     for word, coeff in poly.terms.items():
-        total = total + coeff * _pair_word(name, word)
+        total = total + coeff * pair(name, word)
     return total
 
 
-def entries(matrix):
-    return {(i + 1, j + 1): matrix[i][j]
-            for i in range(3) for j in range(3) if not matrix[i][j].is_zero()}
+def entries(name):
+    """The nonzero pairings of a member with the single letters u_ij."""
+    values = {(i, j): pair(name, u_word((i, j))) for i in (1, 2, 3) for j in (1, 2, 3)}
+    return {key: value for key, value in values.items() if not value.is_zero()}
+
+
+def generator_polynomial(*terms):
+    """A polynomial in the generators, from (coefficient, word) terms with
+    words such as "K1 F2 K1^-1", as a tuple of (state, coefficient)."""
+    summed = {}
+    for coeff, word in terms:
+        factors = []
+        for token in word.split():
+            name, _, power = token.partition("^")
+            factors.append(qpair._k_power(name, int(power or 1)) if name[0] == "K" else name)
+        scale, state = qpair._normal_form(factors)
+        summed[state] = summed.get(state, ZERO) + coeff * scale
+    return tuple((state, c) for state, c in summed.items() if not c.is_zero())
+
+
+def state_weight(state):
+    weight = (0, 0, 0)
+    for letter in state[:-2]:
+        weight = rootdata.add(weight, qpair._letter_weight(letter))
+    return weight
+
+
+@pytest.fixture
+def fresh_pair_cache():
+    # a test that pairs thousands of words it alone reads leaves no entries
+    yield
+    qpair._pair_cache.clear()
 
 
 def test_eval_matrices():
-    table = functional_table()
-    assert entries(table["F_a1"].eval) == {(1, 2): Q(-1)}
-    assert entries(table["F_a2"].eval) == {(2, 3): Q(-1)}
-    assert entries(table["F_a12"].eval) == {(1, 3): Q(-2)}
-    assert entries(table["E_a1"].eval) == {(2, 1): ONE}
-    assert entries(table["E_a12"].eval) == {(3, 1): ONE}
-    assert entries(table["K1"].eval) == {(1, 1): Q(-1), (2, 2): Q(1), (3, 3): ONE}
-    assert entries(table["K2"].eval) == {(1, 1): ONE, (2, 2): Q(-1), (3, 3): Q(1)}
+    assert entries("F_a1") == {(1, 2): Q(-1)}
+    assert entries("F_a2") == {(2, 3): Q(-1)}
+    assert entries("F_a12") == {(1, 3): Q(-2)}
+    assert entries("E_a1") == {(2, 1): ONE}
+    assert entries("E_a12") == {(3, 1): ONE}
+    assert entries("K1") == {(1, 1): Q(-1), (2, 2): Q(1), (3, 3): ONE}
+    assert entries("K2") == {(1, 1): ONE, (2, 2): Q(-1), (3, 3): Q(1)}
 
 
 def test_counits():
-    table = functional_table()
-    grouplike = {"eps", "K1", "K2", "K1K2"}
-    for name, functional in table.items():
-        assert functional.counit == (ONE if name in grouplike else ZERO)
+    for name in MEMBERS:
+        assert pair(name, ()) == (ONE if name in ("K1", "K2") else ZERO)
 
 
 def test_functional_weights():
-    # one weight per member, read off its evaluation entries, and every
-    # coproduct term adds up to it
+    # one weight per member, the sum over each state's E/F letters, and each
+    # single letter it pairs with has that weight
     weights = functional_weights()
     assert weights == {
-        "eps": (0, 0, 0), "K1": (0, 0, 0), "K2": (0, 0, 0), "K1K2": (0, 0, 0),
-        "E_a1": (-1, 1, 0), "E_a2": (0, -1, 1), "E_a2K1": (0, -1, 1),
-        "E_a12": (-1, 0, 1), "F_a1": (1, -1, 0), "F_a2": (0, 1, -1),
-        "F_a2K1": (0, 1, -1), "F_a12": (1, 0, -1)}
-    for name, functional in functional_table().items():
-        for i, j in entries(functional.eval):
-            assert u_weight(qpair.u_word((i, j))) == weights[name]
-        for left, right, _ in functional.coproduct:
-            assert rootdata.add(weights[left], weights[right]) == weights[name]
+        "K1": (0, 0, 0), "K2": (0, 0, 0), "E_a1": (-1, 1, 0), "E_a2": (0, -1, 1),
+        "E_a12": (-1, 0, 1), "F_a1": (1, -1, 0), "F_a2": (0, 1, -1), "F_a12": (1, 0, -1)}
+    for name in MEMBERS:
+        for i, j in entries(name):
+            assert u_weight(u_word((i, j))) == weights[name]
+        for state, _ in qpair._member_states(name):
+            assert state_weight(state) == weights[name]
 
 
-def test_functional_weights_reject_an_ungraded_table(monkeypatch):
-    # a member whose entries disagree on the weight, and a coproduct term of
-    # the wrong weight, each stop the build; E_a2 is in no other member's
-    # coproduct, so only the entry check can catch its mixed entries
-    table = dict(functional_table())
-    e_a1, e_a2 = table["E_a1"], table["E_a2"]
-    mixed = qpair._matadd(e_a2.eval, e_a1.eval)
-    bad_entries = dict(table, E_a2=qpair.Functional(
-        "E_a2", mixed, e_a2.coproduct, e_a2.counit))
-    bad_term = dict(table, E_a1=qpair.Functional(
-        "E_a1", e_a1.eval, (("E_a1", "K1", ONE), ("eps", "E_a2", ONE)), e_a1.counit))
-    for broken in (bad_entries, bad_term):
-        monkeypatch.setattr(qpair, "functional_table", lambda broken=broken: broken)
-        with pytest.raises(AssertionError):
+def test_functional_weights_reject_a_member_of_mixed_weight(monkeypatch):
+    # a member whose terms disagree on the weight stops the build
+    monkeypatch.setitem(MEMBERS, "E_a2", ((ONE, "E2"), (ONE, "E1")))
+    qpair._member_states.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="E_a2 has no single weight"):
             functional_weights.__wrapped__()
+    finally:
+        qpair._member_states.cache_clear()
+
+
+def test_states_are_in_normal_form():
+    # K powers move right past each E/F letter by K_i X = q^(-(alpha_i, wt X)) X K_i
+    assert generator_polynomial((ONE, "K1 F1")) == ((("F1", 1, 0), Q(-2)),)
+    assert generator_polynomial((ONE, "K2 E1 K1")) == ((("E1", 1, 1), Q(-1)),)
+    assert generator_polynomial((ONE, "E2 K1^-1 E1")) == ((("E2", "E1", -1, 0), Q(-2)),)
+    # equal states add up, and a sum that cancels is empty
+    assert generator_polynomial((ONE, "K1 F1"), (-Q(-2), "F1 K1")) == ()
 
 
 def test_pair_word_vanishes_off_its_weight():
-    # every member on every u-word of length <= 3
-    weights = functional_weights()
+    # every state the members reach, on every u-word of length <= 3
     words = [word for k in range(4) for word in itertools.product(range(9), repeat=k)]
     assert len(words) == 820
     nonzero = 0
-    for name, weight in weights.items():
+    for state in qpair._states():
+        weight = state_weight(state)
         for word in words:
-            value = _pair_word(name, word)
+            value = _pair_word(state, word)
             if u_weight(word) != weight:
-                assert value.is_zero(), (name, word)
+                assert value.is_zero(), (state, word)
             nonzero += not value.is_zero()
     assert nonzero > 0
 
 
 def test_pair_examples():
-    assert pair("F_a12", u_monomial((1, 3))) == Q(-2)
-    assert pair("E_a1", u_monomial((2, 1), (1, 1))) == Q(-1)
+    assert pair("F_a12", u_word((1, 3))) == Q(-2)
+    assert pair("E_a1", u_word((2, 1), (1, 1))) == Q(-1)
     # the empty word pairs to the counit
-    assert pair("eps", one_word()) == ONE
-    assert pair("E_a1", one_word()).is_zero()
+    assert pair("K1", ()) == ONE
+    assert pair("E_a1", ()).is_zero()
+
+
+def coproduct(state):
+    """Delta of a state as (left state, right state, coefficient) terms,
+    expanded at once over the letters from the Drinfeld-Jimbo coproducts
+    Delta(E_i) = E_i (x) K_i + 1 (x) E_i, Delta(F_i) = F_i (x) 1 + K_i^-1 (x) F_i
+    and Delta(K) = K (x) K."""
+    legs = {"E": (("{0}", "K{1}"), ("", "{0}")), "F": (("{0}", ""), ("K{1}^-1", "{0}"))}
+    k_part = "K1^%d K2^%d" % state[-2:]
+    terms = []
+    for choice in itertools.product((0, 1), repeat=len(state) - 2):
+        left, right = [], []
+        for letter, which in zip(state[:-2], choice):
+            for leg, spelled in zip((left, right), legs[letter[0]][which]):
+                leg.append(spelled.format(letter, letter[1]))
+        (ls, lc), = generator_polynomial((ONE, " ".join(left + [k_part])))
+        (rs, rc), = generator_polynomial((ONE, " ".join(right + [k_part])))
+        terms.append((ls, rs, lc * rc))
+    return terms
 
 
 def test_coassociativity_on_random_words():
-    # pairing against a product equals the coproduct expansion, exactly
-    table = functional_table()
+    # pairing a state against a product equals its coproduct expansion,
+    # exactly: the letter-by-letter transitions agree with the coproduct
+    # taken over all letters at once
     rng = random.Random(3)
     letters = list(range(9))
     for _ in range(200):
         w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-        p1 = NCPolynomial.monomial(U_ALPHABET, w1)
-        p2 = NCPolynomial.monomial(U_ALPHABET, w2)
-        product = p1 * p2
-        for name, functional in table.items():
-            direct = pair(name, product)
+        for state in qpair._states():
             split = ZERO
-            for left, right, scale in functional.coproduct:
-                split = split + scale * pair(left, p1) * pair(right, p2)
-            assert direct == split, (name, w1, w2)
+            for left, right, scale in coproduct(state):
+                split = split + scale * _pair_word(left, w1) * _pair_word(right, w2)
+            assert _pair_word(state, w1 + w2) == split, (state, w1, w2)
+
+
+def test_generators_satisfy_the_relations_of_u_q_sl3(fresh_pair_cache):
+    # nu [E_i, F_j] = delta_ij (K_i - K_i^-1) and the four quantum Serre
+    # relations pair to zero with every u-word of length <= 4
+    relations = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            terms = [(NU, "E%d F%d" % (i, j)), (-NU, "F%d E%d" % (j, i))]
+            if i == j:
+                terms += [(-ONE, "K%d" % i), (ONE, "K%d^-1" % i)]
+            relations["[E%d,F%d]" % (i, j)] = generator_polynomial(*terms)
+    two = Q(1) + Q(-1)
+    for kind in "EF":
+        for i, j in ((1, 2), (2, 1)):
+            a, b = kind + str(i), kind + str(j)
+            relations["Serre %s %s" % (a, b)] = generator_polynomial(
+                (ONE, "%s %s %s" % (a, a, b)), (-two, "%s %s %s" % (a, b, a)),
+                (ONE, "%s %s %s" % (b, a, a)))
+    assert len(relations) == 8
+    words = [word for k in range(5) for word in itertools.product(range(9), repeat=k)]
+    assert len(words) == 7381
+    for name, relation in relations.items():
+        for word in words:
+            value = ZERO
+            for state, coeff in relation:
+                value = value + coeff * _pair_word(state, word)
+            assert value.is_zero(), (name, word)
+
+
+def frt_relations(q):
+    """The 36 quadratic relations of O_q(SL_3) (Faddeev-Reshetikhin-Takhtajan
+    1990), each a map u-word -> coefficient: for i < j and k < l,
+    u_ik u_jk = q u_jk u_ik, u_ki u_kj = q u_kj u_ki, u_il u_jk = u_jk u_il and
+    u_ik u_jl - u_jl u_ik = (q - q^-1) u_il u_jk."""
+    u = qpair.u_index
+    relations = []
+    for i, j in itertools.combinations((1, 2, 3), 2):
+        for k in (1, 2, 3):
+            relations.append({(u(i, k), u(j, k)): ONE, (u(j, k), u(i, k)): -q})
+            relations.append({(u(k, i), u(k, j)): ONE, (u(k, j), u(k, i)): -q})
+        for k, l in itertools.combinations((1, 2, 3), 2):
+            relations.append({(u(i, l), u(j, k)): ONE, (u(j, k), u(i, l)): -ONE})
+            relations.append({(u(i, k), u(j, l)): ONE, (u(j, l), u(i, k)): -ONE,
+                              (u(i, l), u(j, k)): ONE / q - q})
+    assert len(relations) == 36
+    return relations
+
+
+def frt_violations(q):
+    """(state, left context, relation, right context) where the pairing is
+    not zero, over every state and at most one letter of context a side."""
+    contexts = [()] + [(letter,) for letter in range(9)]
+    for relation in frt_relations(q):
+        for a in contexts:
+            for b in contexts:
+                for state in qpair._states():
+                    value = ZERO
+                    for word, coeff in relation.items():
+                        value = value + coeff * _pair_word(state, a + word + b)
+                    if not value.is_zero():
+                        yield state, a, relation, b
+
+
+def test_frt_relations_pair_to_zero(fresh_pair_cache):
+    # the pairing is well defined on O_q(SL_3): its quadratic relations pair
+    # to zero with every state in context, for this convention of q and not
+    # for the one with q^-1
+    assert next(frt_violations(Q(1)), None) is None
+    assert next(frt_violations(Q(-1)), None) is not None
 
 
 def test_lemma_cosets():
@@ -148,16 +260,15 @@ def test_antipode_word_structure():
 
 
 def test_antipode_axiom():
-    # sum_a u_ia S(u_aj) = delta_ij, tested against every functional
-    table = functional_table()
+    # sum_a u_ia S(u_aj) = delta_ij, tested against every member
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             total = NCPolynomial.zero(U_ALPHABET)
             for a in (1, 2, 3):
                 total = total + u_monomial((i, a)) * antipode_word(a, j)
-            for name, functional in table.items():
-                expected = functional.counit if i == j else ZERO
-                assert pair(name, total) == expected
+            for name in MEMBERS:
+                expected = pair(name, ()) if i == j else ZERO
+                assert pair_poly(name, total) == expected
 
 
 def test_antipode_cosets():
@@ -246,8 +357,8 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     def forbidden(*args):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
-    for name in ("_pair2_word", "_steps2", "coset", "u_weight",
-                 "functional_weights", "_dual_pairs_by_weight",
+    for name in ("_pair2_word", "_product_steps", "pair", "coset",
+                 "u_weight", "functional_weights", "_dual_pairs_by_weight",
                  "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)
     caches = (qpair._pair_cache, qpair._pair2_cache)
@@ -299,7 +410,7 @@ def test_product_pairing_is_the_coproduct_expansion():
     # is wt(x) + wt(y)
     weights = functional_weights()
     words = [word for k in range(3) for word in itertools.product(range(9), repeat=k)]
-    assert (len(weights) ** 2, len(words)) == (144, 91)
+    assert (len(weights) ** 2, len(words)) == (64, 91)
     for x, wx in weights.items():
         for y, wy in weights.items():
             for word in words:
@@ -307,7 +418,7 @@ def test_product_pairing_is_the_coproduct_expansion():
                 for mids in itertools.product(range(3), repeat=len(word)):
                     left = tuple(3 * (letter // 3) + a for letter, a in zip(word, mids))
                     right = tuple(3 * a + letter % 3 for letter, a in zip(word, mids))
-                    expected = expected + _pair_word(x, left) * _pair_word(y, right)
+                    expected = expected + pair(x, left) * pair(y, right)
                 value = _pair2_word(x, y, word)
                 assert value == expected, (x, y, word)
                 if u_weight(word) != rootdata.add(wx, wy):
@@ -333,9 +444,10 @@ def test_right_act_single_letters():
 
 def test_right_act_is_the_coset_module_action():
     # coset(x u_ij) == coset(x) . u_ij for every counit-zero x: the action is
-    # read off the slot duals' coproducts, and this checks it against the
-    # pairing itself, over the counit-corrected flag generators and seeded
-    # counit-corrected words of length 1-3
+    # read off the slot representatives and checked at build time on words of
+    # length 1-2, and this checks it against the pairing itself, over the
+    # counit-corrected flag generators and seeded counit-corrected words of
+    # length 1-3
     samples = [plus_part(poly) for poly in all_flag_generators().values()]
     rng = random.Random(8)
     for _ in range(60):
