@@ -48,11 +48,11 @@ def _build_parser():
 
 
 def _parse_generator(name: str):
-    match = re.fullmatch(r"z([12])_([123])([123])", name)
+    """The generator z<p>_<a><b> by name; flag_generator checks the ranges."""
+    match = re.fullmatch(r"z(\d)_(\d)(\d)", name)
     if match is None:
-        raise ValueError(
-            "generator must look like z<p>_<a><b> with p in 1..2, a,b in 1..3")
-    return tuple(int(g) for g in match.groups())
+        raise ValueError("generator must look like z<p>_<a><b>, for example z1_22")
+    return qpair.flag_generator(*map(int, match.groups()))
 
 
 def _cmd_verify(args) -> int:
@@ -97,11 +97,10 @@ def _cmd_relations(args) -> int:
 
 def _cmd_derive(args) -> int:
     try:
-        p, a, b = _parse_generator(args.generator)
+        generator = qpair.plus_part(_parse_generator(args.generator))
     except ValueError as exc:
         print("qflag3: %s" % exc, file=sys.stderr)
         return 2
-    generator = qpair.plus_part(qpair.flag_generator(p, a, b))
     if args.map == "coset":
         print(qpair.coset(generator).render())
     else:

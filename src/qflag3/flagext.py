@@ -25,7 +25,8 @@ def _f(root):
 
 
 class ExteriorAlgebra:
-    """A reduction system on the cotangent alphabet plus weight bookkeeping."""
+    """A reduction system on the cotangent alphabet, with its top word and the
+    reference product that the Frobenius integral normalises."""
 
     def __init__(self, name, system):
         self.name = name
@@ -40,9 +41,6 @@ class ExteriorAlgebra:
     def monomial(self, word, coeff=ONE):
         return NCPolynomial.monomial(self.alphabet, word, coeff)
 
-    def wedge(self, p, r):
-        return self.system.multiply(p, r)
-
     def reference_coefficient(self) -> Coefficient:
         """Coefficient of the top normal word in the reduced reference product."""
         if self._ref_coeff is None:
@@ -51,9 +49,6 @@ class ExteriorAlgebra:
                 raise AssertionError("reference product did not reduce to the top word")
             self._ref_coeff = nf.terms[self.top_word]
         return self._ref_coeff
-
-    def word_weight(self, word):
-        return rootdata.word_weight(word)
 
 
 def _relation_rules(with_nu_terms: bool):

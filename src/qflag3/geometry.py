@@ -166,10 +166,6 @@ def check_integrability(foacs: Foacs) -> VerificationReport:
 # -- connections -------------------------------------------------------------
 
 
-def _generator_weights():
-    return [rootdata.generator_weight(l) for l in LETTERS]
-
-
 def _wedge_vector(algebra, i, j, basis_index):
     nf = algebra.system.normal_form(algebra.monomial((i, j)))
     return {basis_index[w]: c for w, c in nf.terms.items()}
@@ -177,26 +173,19 @@ def _wedge_vector(algebra, i, j, basis_index):
 
 def connection_space_dims():
     """(total, torsion-free) dimensions of the affine spaces of covariant
-    connections, by weight multiplicity counting and exact kernel ranks."""
+    connections, by weight multiplicity counting and exact kernel ranks, and
+    the dimension of the wedge kernel: one block per weight of slot pairs,
+    counted once for each letter of that weight."""
     algebra = flagext.build_relations()
-    weights = _generator_weights()
-    tensor_weight = {}
-    for i in range(6):
-        for j in range(6):
-            tensor_weight[(i, j)] = rootdata.add(weights[i], weights[j])
-    total = sum(1 for w in tensor_weight.values() for g in weights if w == g)
-
+    weights = qpair.letter_weights()
     basis_index = {w: k for k, w in enumerate(algebra.system.irreducible_words(2))}
-    blocks = {}
-    for pair, w in tensor_weight.items():
-        blocks.setdefault(w, []).append(pair)
-    kernel_total = 0
-    torsion_free = 0
-    for w, pairs in blocks.items():
-        rows = [_wedge_vector(algebra, i, j, basis_index) for (i, j) in pairs]
-        kdim = len(pairs) - linalg.rank(rows)
+    total = torsion_free = kernel_total = 0
+    for w, pairs in qpair.dual_pairs_by_weight().items():
+        kdim = len(pairs) - linalg.rank(
+            _wedge_vector(algebra, i, j, basis_index) for (i, j), _, _ in pairs)
         kernel_total += kdim
-        torsion_free += kdim * sum(1 for g in weights if g == w)
+        total += len(pairs) * weights.count(w)
+        torsion_free += kdim * weights.count(w)
     return total, torsion_free, kernel_total
 
 
@@ -204,7 +193,7 @@ def connection_space_dims_oracle():
     """Independent brute-force count: the full 36 x 6 weight-matching matrix
     of candidate module maps, solving the wedge constraint per generator."""
     algebra = flagext.build_relations()
-    weights = _generator_weights()
+    weights = qpair.letter_weights()
     basis_index = {w: k for k, w in enumerate(algebra.system.irreducible_words(2))}
     total = 0
     torsion_free = 0
@@ -232,7 +221,7 @@ def coinvariant_forms(degree: int):
     algebra = flagext.build_relations()
     zero = (0, 0, 0)
     return [w for w in algebra.system.irreducible_words(degree)
-            if algebra.word_weight(w) == zero]
+            if qpair.cotangent_weight(w) == zero]
 
 
 COINVARIANT_2FORMS = (("f_a1", "e_a1"), ("f_a2", "e_a2"), ("f_a12", "e_a12"))

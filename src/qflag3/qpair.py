@@ -11,15 +11,18 @@ these come the coset map onto the cotangent space V1, the two-fold coproduct
 map omega, and the right module action on V1^(x)k, a tensor of which is a
 degree-k polynomial over the cotangent alphabet.
 
-The pairing is graded by weight: u_ij has weight e_i - e_j, an E/F letter the
-weight of its matrix entry, a K power 0, and words and states the sum over
-their letters.  A state pairs to zero with every word of another weight, and
-``functional_weights`` checks that each member's states share one weight, so
-``omega`` tries only the dual pairs of a word's weight and ``coset`` only the
-slot dual of that weight.  Each pairing has one memo: ``_pair_cache`` for
-states and ``_pair2_cache`` for products of members.  ``omega_by_expansion``
-checks omega independently: it walks each word's intermediate index tuples
-through single states, reads no weight and caches nothing per word.
+The pairing is graded by weight, and this module is the one place that
+states the grading: u_ij has weight e_i - e_j (``u_weight``), an E/F letter
+the weight of its one matrix entry, a K power 0, and words and states the sum
+over their letters.  A state pairs to zero with every word of another weight,
+and ``functional_weights`` checks that each member's states share one weight.
+A cotangent letter has the weight of its slot dual (``letter_weights``), so
+e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the dual
+pairs of a word's weight and ``coset`` only the slot dual of that weight.
+Each pairing has one memo: ``_pair_cache`` for states and ``_pair2_cache`` for
+products of members.  ``omega_by_expansion`` checks omega independently: it
+walks each word's intermediate index tuples through single states, reads no
+weight and caches nothing per word.
 """
 
 from __future__ import annotations
@@ -51,6 +54,17 @@ def u_word(*pairs):
 
 def u_monomial(*pairs, coeff=ONE) -> NCPolynomial:
     return NCPolynomial.monomial(U_ALPHABET, u_word(*pairs), coeff)
+
+
+def u_weight(word):
+    """Weight of a u-word in epsilon-coordinates: the sum of e_i - e_j over
+    its letters u_ij."""
+    weight = [0, 0, 0]
+    for letter in word:
+        row, col = divmod(letter, 3)
+        weight[row] += 1
+        weight[col] -= 1
+    return tuple(weight)
 
 
 # -- the generators of U_q(sl_3) ------------------------------------------------
@@ -90,9 +104,9 @@ def _k_power(letter, power):
 
 @lru_cache(maxsize=None)
 def _letter_weight(letter):
-    """The weight e_r - e_c of an E/F letter whose one matrix entry is (r, c)."""
+    """The weight of an E/F letter: that of u_rc, for its one matrix entry (r, c)."""
     (row, (col, _)), = GENERATORS[letter].items()
-    return tuple((k == row) - (k == col) for k in (1, 2, 3))
+    return u_weight(u_word((row, col)))
 
 
 def _normal_form(factors):
@@ -125,17 +139,6 @@ def _member_states(name):
 # -- weight grading -----------------------------------------------------------
 
 
-def u_weight(word):
-    """Weight of a u-word in epsilon-coordinates: the sum of e_i - e_j over
-    its letters u_ij."""
-    weight = [0, 0, 0]
-    for letter in word:
-        row, col = divmod(letter, 3)
-        weight[row] += 1
-        weight[col] -= 1
-    return tuple(weight)
-
-
 @lru_cache(maxsize=None)
 def functional_weights():
     """The weight of each member, the sum over each state's E/F letters.
@@ -148,6 +151,41 @@ def functional_weights():
             raise AssertionError("%s has no single weight: %s" % (name, sorted(found)))
         weights[name] = found.pop()
     return weights
+
+
+@lru_cache(maxsize=None)
+def letter_weights():
+    """The weight of each cotangent letter, by index: that of its slot dual,
+    which is the weight of the u-words whose coset lies on the letter.
+    Raises AssertionError unless the six weights are distinct."""
+    weights = tuple(functional_weights()[dual] for dual in SLOT_DUALS)
+    if len(set(weights)) != len(weights):
+        raise AssertionError("two slot duals share a weight")
+    return weights
+
+
+def cotangent_weight(word):
+    """Weight of a word of cotangent letter indices: the sum over its letters."""
+    weights = letter_weights()
+    return reduce(rootdata.add, (weights[k] for k in word), (0, 0, 0))
+
+
+@lru_cache(maxsize=None)
+def _slot_dual_by_weight():
+    """Weight -> (slot, dual), for the six slot duals."""
+    return {weight: (slot, SLOT_DUALS[slot]) for slot, weight in enumerate(letter_weights())}
+
+
+@lru_cache(maxsize=None)
+def dual_pairs_by_weight():
+    """Weight -> the dual pairs ((r, c), x, y) of the slots r and c, whose
+    weights add up to it, in row-major order of (r, c) within each weight."""
+    weights = letter_weights()
+    groups = {}
+    for r, x in enumerate(SLOT_DUALS):
+        for c, y in enumerate(SLOT_DUALS):
+            groups.setdefault(rootdata.add(weights[r], weights[c]), []).append(((r, c), x, y))
+    return {weight: tuple(pairs) for weight, pairs in groups.items()}
 
 
 # -- pairing ------------------------------------------------------------------
@@ -264,16 +302,6 @@ def cotangent(*letters, coeff=ONE) -> NCPolynomial:
         COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
 
 
-@lru_cache(maxsize=None)
-def _slot_dual_by_weight():
-    """Weight -> (slot, dual): the six slot duals have distinct weights."""
-    weights = functional_weights()
-    by_weight = {weights[dual]: (slot, dual) for slot, dual in enumerate(SLOT_DUALS)}
-    if len(by_weight) != len(SLOT_DUALS):
-        raise AssertionError("two slot duals share a weight")
-    return by_weight
-
-
 def coset(poly: NCPolynomial) -> NCPolynomial:
     """Coset of a u-polynomial in the cotangent space, a degree-1 tensor.
 
@@ -305,19 +333,6 @@ def plus_part(poly: NCPolynomial) -> NCPolynomial:
     return poly - NCPolynomial.monomial(U_ALPHABET, (), counit(poly))
 
 
-@lru_cache(maxsize=None)
-def _dual_pairs_by_weight():
-    """Weight -> the dual pairs ((r, c), x, y) with wt(x) + wt(y) equal to
-    it, in row-major order of (r, c) within each weight."""
-    weights = functional_weights()
-    groups = {}
-    for r, x in enumerate(SLOT_DUALS):
-        for c, y in enumerate(SLOT_DUALS):
-            weight = rootdata.add(weights[x], weights[y])
-            groups.setdefault(weight, []).append(((r, c), x, y))
-    return {weight: tuple(pairs) for weight, pairs in groups.items()}
-
-
 def omega(poly: NCPolynomial) -> NCPolynomial:
     """The degree-two coset map, a tensor of V1 (x) V1: its coefficient on
     the word (r, c) is the pairing of the product of the r-th and c-th dual
@@ -325,7 +340,7 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     paired only with the dual pairs of its weight."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input; subtract eps(y) first")
-    groups = _dual_pairs_by_weight()
+    groups = dual_pairs_by_weight()
     terms = {}
     for word, coeff in poly.terms.items():
         for key, x, y in groups.get(u_weight(word), ()):

@@ -1,6 +1,7 @@
 """The A2 root system in epsilon-coordinates: inner products, the positive
-roots in the convex order alpha2 < alpha1+alpha2 < alpha1, and the weight
-assignment for the six cotangent generators.
+roots in the convex order alpha2 < alpha1+alpha2 < alpha1, and the names of
+the six cotangent letters with their star partners.  The letters' weights are
+read off the generator matrices in ``qpair``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
 # letter names of the cotangent alphabet, in rank order; every rule of the
 # exterior algebra is strictly decreasing for this ranking
 LETTERS = ("f_a2", "f_a12", "f_a1", "e_a2", "e_a12", "e_a1")
-LETTER_ROOTS = (ALPHA2, THETA, ALPHA1, ALPHA2, THETA, ALPHA1)
-LETTER_SIGNS = (-1, -1, -1, 1, 1, 1)  # f_gamma carries -gamma, e_gamma carries +gamma
-# the star partner of each letter, by index: same root, opposite sign
-_SIGNED_ROOTS = tuple(zip(LETTER_ROOTS, LETTER_SIGNS))
-STAR = tuple(_SIGNED_ROOTS.index((root, -sign)) for root, sign in _SIGNED_ROOTS)
+# the star partner of each letter, by index: e_gamma <-> f_gamma
+STAR = tuple(LETTERS.index({"e": "f", "f": "e"}[name[0]] + name[1:]) for name in LETTERS)
 
 
 def add(v, w):
@@ -29,21 +27,3 @@ def add(v, w):
 def inner_product(beta, gamma) -> int:
     """Euclidean pairing in epsilon-coordinates."""
     return sum(x * y for x, y in zip(beta, gamma))
-
-
-def generator_weight(letter: str):
-    """Root-lattice weight of a cotangent letter: e_gamma -> gamma, f_gamma -> -gamma."""
-    try:
-        idx = LETTERS.index(letter)
-    except ValueError:
-        raise ValueError("unknown letter %r" % letter) from None
-    sign, root = LETTER_SIGNS[idx], LETTER_ROOTS[idx]
-    return tuple(sign * x for x in root)
-
-
-def word_weight(word):
-    """Additive extension of generator_weight to words of letter indices."""
-    total = (0, 0, 0)
-    for index in word:
-        total = add(total, generator_weight(LETTERS[index]))
-    return total

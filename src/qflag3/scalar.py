@@ -294,8 +294,6 @@ class Coefficient:
             return self
         if self.den is _LP_ONE and other.den is _LP_ONE:
             return _over_one(self.num + other.num)
-        if self.den == other.den:
-            return Coefficient(self.num + other.num, self.den)
         return Coefficient(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 

@@ -45,7 +45,7 @@ def suite_relations() -> VerificationReport:
                str(len(algebra.system.irreducible_words(7))))
 
     weight_ok = all(
-        all(algebra.word_weight(w) == algebra.word_weight(rule.lhs)
+        all(qpair.cotangent_weight(w) == qpair.cotangent_weight(rule.lhs)
             for w in rule.rhs.terms)
         for rule in algebra.system.rules)
     report.add("weight-homogeneous", "Prop 5.2 proof",

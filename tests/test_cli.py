@@ -29,6 +29,8 @@ def test_usage_error_exit_code():
 
 def test_own_usage_errors_are_one_prefixed_line():
     for args in (("derive", "omega", "--generator", "z3_11"),
+                 ("derive", "coset", "--generator", "z1_41"),
+                 ("derive", "omega", "--generator", "x1_11"),
                  ("basis", "--degree", "-1"),
                  ("verify", "nakayama", "--q-at-one")):
         result = run_cli(*args)
@@ -200,3 +202,18 @@ def test_verify_all_reports_every_suite():
 def test_verify_all_json_matches_recorded_report():
     result = run_cli("verify", "all", "--format", "json")
     assert result.stdout == RECORDED_REPORT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, args, code", [
+    ("verify_all", ("verify", "all"), 1),
+    ("verify_all_q_at_one_json", ("verify", "all", "--q-at-one", "--format", "json"), 0),
+    ("relations_dump", ("relations", "--dump"), 0),
+    ("relations_dump_graded", ("relations", "--dump", "--graded"), 0),
+    ("derive_omega_z1_22", ("derive", "omega", "--generator", "z1_22"), 0),
+    ("derive_coset_z2_32", ("derive", "coset", "--generator", "z2_32"), 0),
+])
+def test_cli_output_matches_recording(name, args, code):
+    result = run_cli(*args)
+    recorded = RECORDED_REPORT.parent / ("cli_%s.txt" % name)
+    assert result.stdout == recorded.read_text(encoding="utf-8")
+    assert result.returncode == code

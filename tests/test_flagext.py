@@ -37,9 +37,9 @@ def test_rule_count_and_families():
 def test_rules_weight_homogeneous():
     algebra = build_relations()
     for rule in algebra.system.rules:
-        lhs_weight = algebra.word_weight(rule.lhs)
+        lhs_weight = qpair.cotangent_weight(rule.lhs)
         for word in rule.rhs.terms:
-            assert algebra.word_weight(word) == lhs_weight
+            assert qpair.cotangent_weight(word) == lhs_weight
 
 
 def test_worked_overlap_triple():
@@ -159,12 +159,12 @@ def test_star_is_graded_antimultiplicative():
     word = algebra.alphabet.word
     x = algebra.monomial(word("e_a1"))
     z = algebra.monomial(word("f_a2"))
-    assert star(algebra, algebra.wedge(x, z)) == \
+    assert star(algebra, algebra.system.multiply(x, z)) == \
         algebra.system.normal_form(
             star(algebra, z) * star(algebra, x)).scale(-ONE)
     # k = 1, l = 2 has sign +1 (away from the nu-corrected pairs)
     y = algebra.monomial(word("f_a1", "e_a2"))
-    assert star(algebra, algebra.wedge(x, y)) == \
+    assert star(algebra, algebra.system.multiply(x, y)) == \
         algebra.system.normal_form(star(algebra, y) * star(algebra, x))
 
 
@@ -175,7 +175,7 @@ def test_star_defect_on_nu_products_lies_in_collapsed_directions():
     word = algebra.alphabet.word
     x = algebra.monomial(word("e_a1"))
     y = algebra.monomial(word("e_a2", "f_a2"))
-    lhs = star(algebra, algebra.wedge(x, y))
+    lhs = star(algebra, algebra.system.multiply(x, y))
     rhs = algebra.system.normal_form(star(algebra, y) * star(algebra, x))
     defect = lhs - rhs
     assert set(defect.terms) == {word("f_a12", "f_a1", "e_a12")}

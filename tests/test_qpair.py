@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qflag3 import flagext, qpair, rootdata
+from qflag3 import flagext, geometry, qpair, rootdata
 from qflag3.ncpoly import NCPolynomial
 from qflag3.qpair import (COTANGENT_ALPHABET, MEMBERS, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word, coset,
@@ -100,6 +101,39 @@ def test_functional_weights_reject_a_member_of_mixed_weight(monkeypatch):
             functional_weights.__wrapped__()
     finally:
         qpair._member_states.cache_clear()
+
+
+def test_letter_weights():
+    # f_gamma has weight gamma and e_gamma -gamma, for each positive root;
+    # each letter has the weight of the u-letters whose coset lies on it
+    weights = dict(zip(rootdata.LETTERS, qpair.letter_weights()))
+    for suffix, root in (("a1", rootdata.ALPHA1), ("a2", rootdata.ALPHA2),
+                         ("a12", rootdata.THETA)):
+        assert weights["f_" + suffix] == root
+        assert weights["e_" + suffix] == tuple(-x for x in root)
+    assert weights["e_a1"] == u_weight(u_word((2, 1)))
+    for letter in range(9):
+        for (slot,) in coset(NCPolynomial.monomial(U_ALPHABET, (letter,))).terms:
+            assert qpair.letter_weights()[slot] == u_weight((letter,))
+
+
+def test_star_sends_each_letter_to_the_opposite_weight():
+    weights = qpair.letter_weights()
+    assert sorted(rootdata.STAR) == list(range(6))
+    for k, partner in enumerate(rootdata.STAR):
+        assert partner != k
+        assert weights[partner] == tuple(-x for x in weights[k])
+
+
+def test_cotangent_weight_is_additive():
+    words = [word for k in range(3) for word in itertools.product(range(6), repeat=k)]
+    for a in words:
+        for b in words:
+            assert qpair.cotangent_weight(a + b) == \
+                rootdata.add(qpair.cotangent_weight(a), qpair.cotangent_weight(b))
+    assert qpair.cotangent_weight(()) == (0, 0, 0)
+    for form in geometry.COINVARIANT_2FORMS:
+        assert qpair.cotangent_weight(COTANGENT_ALPHABET.word(*form)) == (0, 0, 0)
 
 
 def test_states_are_in_normal_form():
@@ -239,6 +273,33 @@ def test_frt_relations_pair_to_zero(fresh_pair_cache):
     assert next(frt_violations(Q(-1)), None) is not None
 
 
+_u_words = st.lists(st.integers(0, 8), max_size=3).map(tuple)
+
+
+@pytest.mark.parametrize("q, clean", [(Q(1), True), (Q(-1), False)], ids=["q", "q^-1"])
+def test_frt_relations_pair_to_zero_in_random_contexts(fresh_pair_cache, q, clean):
+    # every FRT relation, between left and right contexts of up to three
+    # u-letters, pairs to zero with every state for the q convention; the
+    # q^-1 convention is caught
+    states = qpair._states()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False)
+    @given(st.sampled_from(frt_relations(q)), _u_words, _u_words)
+    def pairs_to_zero(relation, a, b):
+        for state in states:
+            value = ZERO
+            for word, coeff in relation.items():
+                value = value + coeff * _pair_word(state, a + word + b)
+            assert value.is_zero(), (state, a, relation, b)
+
+    if clean:
+        pairs_to_zero()
+    else:
+        with pytest.raises(AssertionError):
+            pairs_to_zero()
+
+
 def test_lemma_cosets():
     assert coset(u_monomial((2, 1))) == cotangent("e_a1")
     assert coset(u_monomial((3, 2))) == cotangent("e_a2")
@@ -358,8 +419,8 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
     for name in ("_pair2_word", "_product_steps", "pair", "coset",
-                 "u_weight", "functional_weights", "_dual_pairs_by_weight",
-                 "_slot_dual_by_weight"):
+                 "u_weight", "functional_weights", "letter_weights",
+                 "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)
     caches = (qpair._pair_cache, qpair._pair2_cache)
     sizes = [len(cache) for cache in caches]

@@ -1,8 +1,5 @@
-import pytest
-
 from qflag3 import qpair, rootdata
-from qflag3.rootdata import (ALPHA1, ALPHA2, THETA, generator_weight,
-                             inner_product, word_weight)
+from qflag3.rootdata import ALPHA1, ALPHA2, THETA, inner_product
 
 
 def test_inner_products_match_cartan_matrix():
@@ -19,17 +16,6 @@ def test_inner_product_symmetric():
     for beta in roots:
         for gamma in roots:
             assert inner_product(beta, gamma) == inner_product(gamma, beta)
-
-
-def test_generator_weights():
-    assert generator_weight("e_a1") == ALPHA1
-    assert generator_weight("f_a1") == tuple(-x for x in ALPHA1)
-    with pytest.raises(ValueError):
-        generator_weight("g_a1")
-    letters = rootdata.LETTERS
-    assert word_weight((letters.index("f_a1"), letters.index("e_a1"))) == (0, 0, 0)
-    assert word_weight((letters.index("f_a2"), letters.index("e_a1"))) == \
-        rootdata.add(ALPHA1, tuple(-x for x in ALPHA2))
 
 
 # P+-grading of the quantum coordinate generators by column: -w1, w1-w2, w2

@@ -57,7 +57,9 @@ def _random_coefficient(rng):
     for _ in range(rng.randint(1, 3)):
         num = num + LaurentPoly({rng.randint(-3, 3): Fraction(rng.randint(-4, 4))
                                  for _ in range(rng.randint(1, 3))})
-    den = LaurentPoly({rng.randint(-2, 2): Fraction(rng.randint(1, 3))})
+    # one to three terms of positive coefficient at distinct exponents: never zero
+    den = LaurentPoly({exp: Fraction(rng.randint(1, 3))
+                       for exp in rng.sample(range(-2, 3), rng.randint(1, 3))})
     return Coefficient(num, den)
 
 
