@@ -21,8 +21,9 @@ e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the dual
 pairs of a word's weight and ``coset`` only the slot dual of that weight.
 Each pairing has one memo: ``_pair_cache`` for states and ``_pair2_cache`` for
 products of members.  ``omega_by_expansion`` checks omega independently: it
-walks each word's intermediate index tuples through single states, reads no
-weight and caches nothing per word.
+walks each word's intermediate index tuples from left to right, stepping the
+slot duals' single states letter by letter, reads no weight and caches
+nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ U_ALPHABET = Alphabet(tuple("u%d%d" % (i, j) for i in (1, 2, 3) for j in (1, 2, 
 # the cotangent alphabet, one letter per basis slot in the rank order of the
 # exterior algebra: a degree-k polynomial in it is a tensor of V1^(x)k
 COTANGENT_ALPHABET = Alphabet(rootdata.LETTERS)
-# the dual functional of each slot
-SLOT_DUALS = ("F_a2", "F_a12", "F_a1", "E_a2", "E_a12", "E_a1")
+# the dual functional of each slot: F_gamma for f_gamma, E_gamma for e_gamma
+SLOT_DUALS = tuple(name[0].upper() + name[1:] for name in rootdata.LETTERS)
 
 
 def u_index(i: int, j: int) -> int:
@@ -350,39 +351,15 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
-@lru_cache(maxsize=None)
-def _states():
-    """Every state that the slot duals' states reach through transitions."""
-    states, frontier = set(), [s for dual in SLOT_DUALS for s, _ in _member_states(dual)]
-    while frontier:
-        state = frontier.pop()
-        if state not in states:
-            states.add(state)
-            frontier.extend(right for letter in range(9) for right, _ in _steps(state, letter))
-    return tuple(states)
-
-
-@lru_cache(maxsize=None)
-def _steps_into(letter):
-    """The transitions of one letter read backwards: right state -> tuple of
-    (state, factor), so that s(u_letter w) is the sum of factor * right(w)
-    over the entries naming s."""
-    back = {}
-    for state in _states():
-        for right, factor in _steps(state, letter):
-            back.setdefault(right, []).append((state, factor))
-    return {right: tuple(terms) for right, terms in back.items()}
-
-
-def _prepend(letter, suffix):
-    """The nonzero pairings of the states with u_letter w, from their
-    pairings with w (a map state -> Coefficient)."""
-    into = _steps_into(letter)
+def _advance(legs, letter):
+    """A leg's map (slot, state) -> Coefficient, moved one letter on: each
+    state steps through the letter u_letter."""
     out = {}
-    for right, value in suffix.items():
-        for state, factor in into.get(right, ()):
-            out[state] = out.get(state, ZERO) + (value if factor is ONE else factor * value)
-    return {state: value for state, value in out.items() if not value.is_zero()}
+    for (slot, state), value in legs.items():
+        for right, factor in _steps(state, letter):
+            key = (slot, right)
+            out[key] = out.get(key, ZERO) + (value if factor is ONE else factor * value)
+    return {key: value for key, value in out.items() if not value.is_zero()}
 
 
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
@@ -391,34 +368,42 @@ def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
 
     It pairs only through single states: u_(i1 j1)...u_(ik jk) splits into
     u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first walk
-    per word chooses a_k, ..., a_1 and carries the pairings of every state
-    with the suffix of each leg, until either leg pairs to zero with all.  At
-    a full index tuple the slot duals' pairings give the coefficient on (r, c)."""
+    per word chooses a_1, ..., a_k from left to right; each leg carries the
+    states that the slot duals' states step to on its prefix, keyed by slot,
+    until either leg has none left.  At a full index tuple the K-power states
+    give each slot's value, as the counit is 1 on a K power and 0 on an E/F
+    letter, and the product of the two legs' values is the coefficient on
+    (r, c)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
     terms = {}
 
-    def walk(word, coeff, depth, left, right):
-        if not depth:
-            # the slot duals' pairings with the two legs
-            lv, rv = ([sum((c * legs.get(s, ZERO) for s, c in _member_states(dual)), ZERO)
-                       for dual in SLOT_DUALS] for legs in (left, right))
-            for r, c in product(range(6), repeat=2):
-                if not (lv[r].is_zero() or rv[c].is_zero()):
-                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (lv[r] * rv[c])
-            return
-        row, col = divmod(word[depth - 1], 3)
-        for a in range(3):
-            left_a = _prepend(3 * row + a, left)
-            if left_a:
-                right_a = _prepend(3 * a + col, right)
-                if right_a:
-                    walk(word, coeff, depth - 1, left_a, right_a)
+    def slot_values(legs):
+        values = {}
+        for (slot, state), value in legs.items():
+            if len(state) == 2:
+                values[slot] = values.get(slot, ZERO) + value
+        return values
 
-    # the empty word pairs to the counit, 1 on a K power
-    empty = {state: ONE for state in _states() if len(state) == 2}
+    def walk(word, coeff, left, right):
+        if not word:
+            rv = slot_values(right)
+            for r, x in slot_values(left).items():
+                for c, y in rv.items():
+                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (x * y)
+            return
+        row, col = divmod(word[0], 3)
+        for a in range(3):
+            left_a = _advance(left, 3 * row + a)
+            if left_a:
+                right_a = _advance(right, 3 * a + col)
+                if right_a:
+                    walk(word[1:], coeff, left_a, right_a)
+
+    start = {(slot, state): c for slot, dual in enumerate(SLOT_DUALS)
+             for state, c in _member_states(dual)}
     for word, coeff in poly.terms.items():
-        walk(word, coeff, len(word), empty, empty)
+        walk(word, coeff, start, start)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 

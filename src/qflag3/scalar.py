@@ -144,63 +144,35 @@ class LaurentPoly:
 
     # -- polynomial division and gcd ----------------------------------------
 
-    def _as_dense(self):
-        """Dense coefficient list after shifting the lowest exponent to 0."""
-        lo = self.min_exp()
-        hi = self.max_exp()
-        dense = [0] * (hi - lo + 1)
-        for exp, coeff in self.terms.items():
-            dense[exp - lo] = coeff
-        return dense
-
     @staticmethod
-    def _from_dense(dense, lo=0):
-        return LaurentPoly({i + lo: c for i, c in enumerate(dense) if c})
-
-    @staticmethod
-    def _dense_divmod(a, b):
-        a = list(a)
-        db, lead = len(b) - 1, b[-1]
-        quot = [0] * max(len(a) - db, 1)
-        while len(a) - 1 >= db and any(a):
-            while a and not a[-1]:
-                a.pop()
-            if len(a) - 1 < db:
-                break
-            factor = _term_value(Fraction(a[-1], lead))
-            shift = len(a) - 1 - db
-            quot[shift] = factor
-            for i, c in enumerate(b):
-                a[shift + i] -= factor * c
-            a.pop()
-        while a and not a[-1]:
-            a.pop()
-        return quot, a
+    def _divmod(a, b):
+        """Quotient and remainder in Q[q] of a by a nonzero b, both first
+        shifted to lowest exponent 0."""
+        a, b = a.shift(-min(a.terms, default=0)), b.shift(-b.min_exp())
+        top, lead, quot = b.max_exp(), b.leading_coeff(), {}
+        while a.terms and a.max_exp() >= top:
+            k, factor = a.max_exp() - top, Fraction(a.leading_coeff(), lead)
+            quot[k] = factor
+            a = a - b.scale(factor).shift(k)
+        return LaurentPoly(quot), a
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other; raises ValueError on inexact division."""
         if other.is_zero():
             raise ZeroDivisionError("division of Laurent polynomial by zero")
         if self.is_zero():
-            return LaurentPoly.zero()
-        quot, rem = self._dense_divmod(self._as_dense(), other._as_dense())
-        if any(rem):
+            return self
+        quot, rem = LaurentPoly._divmod(self, other)
+        if not rem.is_zero():
             raise ValueError("inexact Laurent polynomial division")
-        return LaurentPoly._from_dense(quot, self.min_exp() - other.min_exp())
+        return quot.shift(self.min_exp() - other.min_exp())
 
     @staticmethod
     def gcd(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
         """Monic gcd in Q[q] of the shifted polynomials (q-power units dropped)."""
-        if a.is_zero():
-            return b.monic() if not b.is_zero() else LaurentPoly.zero()
-        if b.is_zero():
-            return a.monic()
-        x, y = a._as_dense(), b._as_dense()
-        while any(y):
-            _, r = LaurentPoly._dense_divmod(x, y)
-            x, y = y, r
-        g = LaurentPoly._from_dense(x)
-        return g.monic()
+        while not b.is_zero():
+            a, b = b, LaurentPoly._divmod(a, b)[1]
+        return a.monic()
 
     def monic(self) -> "LaurentPoly":
         if self.is_zero():
@@ -255,11 +227,7 @@ class Coefficient:
 
     @staticmethod
     def zero() -> "Coefficient":
-        return _C_ZERO
-
-    @staticmethod
-    def one() -> "Coefficient":
-        return _C_ONE
+        return ZERO
 
     @staticmethod
     def from_rational(value) -> "Coefficient":
@@ -307,7 +275,7 @@ class Coefficient:
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
-            return _C_ZERO
+            return ZERO
         if self.den is _LP_ONE and other.den is _LP_ONE:
             return _over_one(self.num * other.num)
         return Coefficient(self.num * other.num, self.den * other.den)
@@ -395,8 +363,5 @@ def _content(poly: LaurentPoly) -> Fraction:
                     math.lcm(*(c.denominator for c in values)))
 
 
-_C_ZERO = Coefficient()
-_C_ONE = Coefficient(_LP_ONE)
-
-ZERO = _C_ZERO
-ONE = _C_ONE
+ZERO = Coefficient()
+ONE = Coefficient(_LP_ONE)

@@ -1,7 +1,12 @@
 import contextlib
+import itertools
 import signal
 
 import pytest
+
+from qflag3 import qpair
+from qflag3.ncpoly import NCPolynomial
+from qflag3.scalar import ONE, ZERO
 
 
 @contextlib.contextmanager
@@ -29,3 +34,44 @@ def time_limit():
     """The context manager `time_limit(seconds)`: a test that eliminates
     wraps its work in it."""
     return _time_limit
+
+
+@pytest.fixture(scope="session")
+def reachable_states():
+    """Every state that the slot duals' states reach through the letter
+    transitions of qpair._steps."""
+    states = set()
+    frontier = [state for dual in qpair.SLOT_DUALS for state, _ in qpair._member_states(dual)]
+    while frontier:
+        state = frontier.pop()
+        if state not in states:
+            states.add(state)
+            frontier.extend(right for letter in range(9) for right, _ in qpair._steps(state, letter))
+    return tuple(states)
+
+
+def _antipode_axiom_defects(states):
+    """(i, j, side, state) wherever sum_k u_ik S(u_kj) (side "uS") or
+    sum_k S(u_ik) u_kj (side "Su") does not pair with the state to delta_ij
+    times the state's counit, 1 on a K power and 0 on an E/F letter.  S is
+    read from qpair at each call."""
+    u, antipode, zero = qpair.u_monomial, qpair.antipode_word, NCPolynomial.zero(qpair.U_ALPHABET)
+    defects = []
+    for i, j in itertools.product((1, 2, 3), repeat=2):
+        sides = {"uS": sum((u((i, k)) * antipode(k, j) for k in (1, 2, 3)), zero),
+                 "Su": sum((antipode(i, k) * u((k, j)) for k in (1, 2, 3)), zero)}
+        for side, poly in sides.items():
+            for state in states:
+                value = ZERO
+                for word, coeff in poly.terms.items():
+                    value = value + coeff * qpair._pair_word(state, word)
+                if value != (ONE if i == j and len(state) == 2 else ZERO):
+                    defects.append((i, j, side, state))
+    return defects
+
+
+@pytest.fixture(scope="session")
+def antipode_axiom_defects():
+    """The function `antipode_axiom_defects(states)`, shared by the pairing
+    tests and the mutation that flips a sign of the antipode."""
+    return _antipode_axiom_defects

@@ -163,3 +163,14 @@ def test_the_letter_action_check_sees_the_opposite_coproduct(clean_caches):
         opposite_e_coproduct(patch)
         with pytest.raises(AssertionError, match="x = u11 - eps is not the action"):
             qpair.right_act(qpair.cotangent("e_a1"), qpair.u_monomial((1, 1)))
+
+
+def test_the_antipode_axiom_sees_the_q_term_sign(clean_caches, reachable_states,
+                                                antipode_axiom_defects):
+    # with the sign of the q term of S flipped, sum_k u_ik S(u_kj) no longer
+    # pairs to the counit: the pairing sees the mutant without the ideal
+    # generators' own check
+    assert antipode_axiom_defects(reachable_states) == []
+    with pytest.MonkeyPatch.context() as patch:
+        antipode_q_term_sign(patch)
+        assert antipode_axiom_defects(reachable_states) != []

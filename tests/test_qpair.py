@@ -145,12 +145,12 @@ def test_states_are_in_normal_form():
     assert generator_polynomial((ONE, "K1 F1"), (-Q(-2), "F1 K1")) == ()
 
 
-def test_pair_word_vanishes_off_its_weight():
+def test_pair_word_vanishes_off_its_weight(reachable_states):
     # every state the members reach, on every u-word of length <= 3
     words = [word for k in range(4) for word in itertools.product(range(9), repeat=k)]
     assert len(words) == 820
     nonzero = 0
-    for state in qpair._states():
+    for state in reachable_states:
         weight = state_weight(state)
         for word in words:
             value = _pair_word(state, word)
@@ -187,7 +187,7 @@ def coproduct(state):
     return terms
 
 
-def test_coassociativity_on_random_words():
+def test_coassociativity_on_random_words(reachable_states):
     # pairing a state against a product equals its coproduct expansion,
     # exactly: the letter-by-letter transitions agree with the coproduct
     # taken over all letters at once
@@ -196,7 +196,7 @@ def test_coassociativity_on_random_words():
     for _ in range(200):
         w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-        for state in qpair._states():
+        for state in reachable_states:
             split = ZERO
             for left, right, scale in coproduct(state):
                 split = split + scale * _pair_word(left, w1) * _pair_word(right, w2)
@@ -250,14 +250,14 @@ def frt_relations(q):
     return relations
 
 
-def frt_violations(q):
+def frt_violations(q, states):
     """(state, left context, relation, right context) where the pairing is
-    not zero, over every state and at most one letter of context a side."""
+    not zero, over the states and at most one letter of context a side."""
     contexts = [()] + [(letter,) for letter in range(9)]
     for relation in frt_relations(q):
         for a in contexts:
             for b in contexts:
-                for state in qpair._states():
+                for state in states:
                     value = ZERO
                     for word, coeff in relation.items():
                         value = value + coeff * _pair_word(state, a + word + b)
@@ -265,23 +265,24 @@ def frt_violations(q):
                         yield state, a, relation, b
 
 
-def test_frt_relations_pair_to_zero(fresh_pair_cache):
+def test_frt_relations_pair_to_zero(fresh_pair_cache, reachable_states):
     # the pairing is well defined on O_q(SL_3): its quadratic relations pair
     # to zero with every state in context, for this convention of q and not
     # for the one with q^-1
-    assert next(frt_violations(Q(1)), None) is None
-    assert next(frt_violations(Q(-1)), None) is not None
+    assert next(frt_violations(Q(1), reachable_states), None) is None
+    assert next(frt_violations(Q(-1), reachable_states), None) is not None
 
 
 _u_words = st.lists(st.integers(0, 8), max_size=3).map(tuple)
 
 
 @pytest.mark.parametrize("q, clean", [(Q(1), True), (Q(-1), False)], ids=["q", "q^-1"])
-def test_frt_relations_pair_to_zero_in_random_contexts(fresh_pair_cache, q, clean):
+def test_frt_relations_pair_to_zero_in_random_contexts(fresh_pair_cache, reachable_states,
+                                                      q, clean):
     # every FRT relation, between left and right contexts of up to three
     # u-letters, pairs to zero with every state for the q convention; the
     # q^-1 convention is caught
-    states = qpair._states()
+    states = reachable_states
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               report_multiple_bugs=False)
@@ -330,6 +331,13 @@ def test_antipode_axiom():
             for name in MEMBERS:
                 expected = pair(name, ()) if i == j else ZERO
                 assert pair_poly(name, total) == expected
+
+
+def test_antipode_axiom_pairs_to_the_counit(reachable_states, antipode_axiom_defects):
+    # sum_k u_ik S(u_kj) and sum_k S(u_ik) u_kj both pair with every state
+    # the slot duals reach to delta_ij times its counit
+    assert len(reachable_states) * 9 * 2 == 270
+    assert antipode_axiom_defects(reachable_states) == []
 
 
 def test_antipode_cosets():
@@ -409,16 +417,16 @@ def test_omega_agrees_with_explicit_expansion():
 
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
-    # the check never reaches the product-functional pairing it checks, nor
-    # coset or the weights that prune omega and coset, and adds no entry to
-    # any pairing cache
+    # the check never reaches the pairings it checks, nor coset or the
+    # weights that prune omega and coset, and adds no entry to any pairing
+    # cache: it shares only _steps and _member_states with omega
     samples = omega_samples()
     expected = [omega(poly) for poly in samples]
 
     def forbidden(*args):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
-    for name in ("_pair2_word", "_product_steps", "pair", "coset",
+    for name in ("_pair2_word", "_product_steps", "_pair_word", "pair", "coset",
                  "u_weight", "functional_weights", "letter_weights",
                  "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qflag3.scalar import Coefficient, LaurentPoly
+from qflag3.scalar import Coefficient, LaurentPoly, ONE
 
 Q = Coefficient.q_power
-ONE = Coefficient.one()
 NU = Coefficient.nu()
 
 
@@ -118,3 +117,38 @@ def test_non_integer_exponents_are_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({Fraction(2): 1})
     assert LaurentPoly({-2: 3}).terms == {-2: 3}
+
+
+def _random_laurent(rng, zero_ok=False):
+    """One to four terms at exponents in [-4, 3], with Fraction values; zero
+    only when zero_ok."""
+    while True:
+        poly = LaurentPoly({rng.randint(-4, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 4))})
+        if zero_ok or not poly.is_zero():
+            return poly
+
+
+def test_sparse_euclid_on_random_laurent_polynomials():
+    # divide_exact and gcd divide in Q[q] after shifting to exponent 0
+    rng = random.Random(19)
+    zero = LaurentPoly.zero()
+    for _ in range(60):
+        p, r, s = _random_laurent(rng, zero_ok=True), _random_laurent(rng), _random_laurent(rng)
+        assert (p * r).divide_exact(r) == p
+        LaurentPoly.gcd(p * s, r * s).divide_exact(s)  # ValueError unless s divides it
+        assert LaurentPoly.gcd(r, zero) == r.monic() == LaurentPoly.gcd(zero, r)
+        assert Coefficient(p * s, r * s) == Coefficient(p, r)
+        with pytest.raises(ZeroDivisionError):
+            p.divide_exact(zero)
+    assert LaurentPoly.gcd(zero, zero).is_zero()
+
+
+def test_inexact_division_raises():
+    q, one = LaurentPoly.q_power, LaurentPoly.const(1)
+    with pytest.raises(ValueError):
+        (q(2) + one).divide_exact(q(1) + one)
+    with pytest.raises(ValueError):
+        one.divide_exact(q(-3) + one)
+    # (q^2 - 1) / (q^-1 - q^-2) = q^2 (q + 1)
+    assert (q(2) - one).divide_exact(q(-1) - q(-2)) == q(3) + q(2)
