@@ -171,11 +171,11 @@ def nakayama(algebra: ExteriorAlgebra, degree: int):
     """
     if not 0 <= degree <= 6:
         raise ValueError("degree out of range")
-    rows, cols, matrix = frobenius_matrix(algebra, 6 - degree)
-    # rows: basis y of degree 6-k; cols: basis z of degree k
+    _, cols, matrix = frobenius_matrix(algebra, 6 - degree)
+    # matrix rows: basis y of degree 6-k; cols: basis z of degree k
+    xs, _, pairings = frobenius_matrix(algebra, degree)
     solution = {}
-    for x in algebra.system.irreducible_words(degree):
-        rhs = [integral(algebra, algebra.monomial(x + y)) for y in rows]
+    for x, rhs in zip(xs, pairings):  # rhs[i] = B(x, y_i)
         coeffs = linalg.solve(matrix, rhs)
         if coeffs is None:
             raise ArithmeticError(

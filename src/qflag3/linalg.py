@@ -2,8 +2,11 @@
 and the solution of square systems.
 
 A row is a dict from an orderable column key to a nonzero Coefficient.  A
-pivot set maps each leading column (the least key of its row) to that row,
-scaled to 1 there; distinct rows have distinct leading columns.
+pivot set maps each leading column (the least key of its row) to the rest of
+that row divided by minus its lead entry, its tail; every tail key is greater
+than its lead and distinct rows have distinct leading columns.  Reducing a
+row whose lead has a pivot pops that lead and adds lead * tail, so the
+cancelled lead is never computed.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ def reduce(row, pivots) -> dict:
     row = dict(row)
     while row:
         lead = min(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
+        tail = pivots.get(lead)
+        if tail is None:
             return row
-        factor = -row[lead]
-        for j, c in pivot.items():
+        factor = row.pop(lead)
+        for j, c in tail.items():
             new = row.get(j, ZERO) + factor * c
             if new.is_zero():
                 row.pop(j, None)
@@ -36,8 +39,8 @@ def insert_pivot(row, pivots) -> bool:
     if not rem:
         return False
     lead = min(rem)
-    inv = rem[lead]
-    pivots[lead] = {j: c / inv for j, c in rem.items()}
+    scale = -rem.pop(lead)
+    pivots[lead] = {j: c / scale for j, c in rem.items()}
     return True
 
 
@@ -50,6 +53,8 @@ def rank(rows) -> int:
 def solve(matrix, rhs):
     """The x with matrix . x = rhs for a square matrix; None if it is singular."""
     n = len(matrix)
+    if len(rhs) != n or any(len(entries) != n for entries in matrix):
+        raise ValueError("solve needs an n x n matrix and n right-hand sides")
     pivots = {}
     for entries, value in zip(matrix, rhs):
         row = {j: c for j, c in enumerate(entries) if not c.is_zero()}
@@ -60,9 +65,10 @@ def solve(matrix, rhs):
         return None
     x = [ZERO] * n
     for i in reversed(range(n)):
-        value = pivots[i].get(n, ZERO)
+        # row i reads -x_i + sum_j tail_j x_j = tail_n
+        value = -pivots[i].get(n, ZERO)
         for j, c in pivots[i].items():
-            if i < j < n:
-                value = value - c * x[j]
+            if j < n:
+                value = value + c * x[j]
         x[i] = value
     return x

@@ -9,8 +9,9 @@ strictly decreasing, which certifies termination.
 
 from __future__ import annotations
 
+from . import linalg
 from .report import Check, VerificationReport
-from .scalar import Coefficient, ONE, ZERO
+from .scalar import Coefficient, ONE
 
 Word = tuple
 
@@ -294,15 +295,17 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     independently of the rewrite engine.
 
     Each row is pivoted at its largest word, as in Macaulay-matrix (F4)
-    elimination.  Every rhs word precedes its lhs, so the raw row
-    u*(lhs - rhs)*v leads with u*lhs*v.  The rows are made word by word in
-    column order, the rows of one leading word sparsest first and then in rule
-    order, and each is reduced as soon as it is made, so the raw rows are
-    never all in memory.  A pivot is stored as its tail divided by minus its
-    lead: a reduction step pops the row's lead and adds that multiple of the
-    tail, and never computes the cancelled lead.  The rank of the row set does
-    not depend on the order in which rows are taken or on the column each is
-    pivoted at, so the dimension does not either.
+    elimination: the columns are numbered from the largest word down, so
+    that word is the least key, the lead that `linalg` pivots at.  Every rhs
+    word precedes its lhs, so the raw row u*(lhs - rhs)*v leads with u*lhs*v.
+    The rows are made word by word in column order, the rows of one leading
+    word sparsest first and then in rule order, and each is reduced through
+    `linalg.reduce` as soon as it is made, so the raw rows are never all in
+    memory.  The oracle stores a new pivot itself, in linalg's form (tail
+    divided by minus lead), so that a profile of this function sees each row
+    built and each pivot divided.  The rank of the row set does not depend
+    on the order in which rows are taken or on the column each is pivoted
+    at, so the dimension does not either.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -313,32 +316,20 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     all_words = [()]
     for _ in range(degree):
         all_words = [w + (letter,) for w in all_words for letter in range(n)]
-    col = {w: i for i, w in enumerate(all_words)}
+    col = {w: i for i, w in enumerate(reversed(all_words))}
     relations = sorted(([(rule.lhs, ONE)] + [(w, -c) for w, c in rule.rhs.terms.items()]
                         for rule in system.rules), key=len)
     index_of = {relation[0][0]: i for i, relation in enumerate(relations)}
 
-    # sparse row reduction over the exact coefficient field
     pivots = {}
     for word in all_words:
         placements = sorted((index_of[word[p:p + 2]], p) for p in range(degree - 1)
                             if word[p:p + 2] in index_of)
         for i, p in placements:
             u, v = word[:p], word[p + 2:]
-            row = {col[u + w + v]: c for w, c in relations[i]}
-            while row:
-                lead = max(row)
-                tail = pivots.get(lead)
-                if tail is None:
-                    scale = -row.pop(lead)
-                    pivots[lead] = {j: c / scale for j, c in row.items()}
-                    break
-                factor = row.pop(lead)
-                for j, c in tail.items():
-                    new = row.get(j, ZERO) + factor * c
-                    if new.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = new
-            # empty row: linearly dependent, nothing to do
+            row = linalg.reduce({col[u + w + v]: c for w, c in relations[i]}, pivots)
+            if row:  # an empty remainder is a dependent row
+                lead = min(row)
+                scale = -row.pop(lead)
+                pivots[lead] = {j: c / scale for j, c in row.items()}
     return n ** degree - len(pivots)

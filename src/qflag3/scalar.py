@@ -48,25 +48,6 @@ class LaurentPoly:
                     clean[exp] = coeff
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return LaurentPoly()
-
-    @staticmethod
-    def const(value) -> "LaurentPoly":
-        return LaurentPoly({0: value})
-
-    @staticmethod
-    def q_power(exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: 1})
-
-    @staticmethod
-    def nu() -> "LaurentPoly":
-        """q - q^-1."""
-        return LaurentPoly({1: 1, -1: -1})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -205,8 +186,8 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.render()
 
 
-_LP_ZERO = LaurentPoly.zero()
-_LP_ONE = LaurentPoly.const(1)
+_LP_ZERO = LaurentPoly()
+_LP_ONE = LaurentPoly({0: 1})
 
 
 class Coefficient:
@@ -231,15 +212,16 @@ class Coefficient:
 
     @staticmethod
     def from_rational(value) -> "Coefficient":
-        return Coefficient(LaurentPoly.const(value))
+        return Coefficient(LaurentPoly({0: value}))
 
     @staticmethod
     def q_power(exp: int) -> "Coefficient":
-        return Coefficient(LaurentPoly.q_power(exp))
+        return Coefficient(LaurentPoly({exp: 1}))
 
     @staticmethod
     def nu() -> "Coefficient":
-        return Coefficient(LaurentPoly.nu())
+        """q - q^-1."""
+        return Coefficient(LaurentPoly({1: 1, -1: -1}))
 
     # -- queries -----------------------------------------------------------
 

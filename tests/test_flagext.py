@@ -112,8 +112,9 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel(time_limit)
         assert len(span) - sum(1 for lead in stacked if lead[0] == 0) == 335
 
         derived = {}
-        for lead, row in stacked.items():
+        for lead, tail in stacked.items():
             if lead[0] == 1:
+                row = {lead: -ONE, **tail}
                 linalg.insert_pivot({j[1:]: c for j, c in row.items()}, derived)
         encoded_vectors = flagext.encoded_relation_vectors(algebra)
         encoded = {}
@@ -121,7 +122,8 @@ def test_relations_are_the_omega_image_of_the_whole_quadratic_kernel(time_limit)
             linalg.insert_pivot(vec, encoded)
         assert len(derived) == len(encoded) == 21
         assert not any(linalg.reduce(vec, derived) for vec in encoded_vectors)
-        assert not any(linalg.reduce(vec, encoded) for vec in derived.values())
+        assert not any(linalg.reduce({lead: -ONE, **tail}, encoded)
+                       for lead, tail in derived.items())
 
         # the span is closed under the right action, so with omega(x b) =
         # omega(x) . b for x in the kernel it also holds omega of the right ideal

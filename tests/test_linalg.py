@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qflag3 import linalg
@@ -31,6 +32,14 @@ def test_solve_returns_none_on_a_singular_matrix(time_limit):
     matrix = [row, [c * NU for c in row], [ONE, ZERO, Q(3)]]
     with time_limit(2):
         assert linalg.solve(matrix, [ONE, ZERO, ZERO]) is None
+
+
+def test_solve_rejects_a_non_square_system():
+    # with n = 2, column 2 would share its key with the right-hand side
+    with pytest.raises(ValueError):
+        linalg.solve([[ONE, ZERO, ONE], [ZERO, ONE, ZERO]], [ONE, ONE])
+    with pytest.raises(ValueError):
+        linalg.solve([[ONE, ZERO], [ZERO, ONE]], [ONE, ONE, ONE])
 
 
 def _degree_3_ideal_rows(system):
@@ -99,11 +108,59 @@ def test_equality_agrees_with_cross_multiplication(a, b):
 @_SETTINGS
 @given(nonzero_laurent, st.fractions(min_value=-5, max_value=5).filter(bool))
 def test_canonical_denominator(den, value):
-    c = Coefficient(LaurentPoly.const(value), den)
+    c = Coefficient(LaurentPoly({0: value}), den)
     assume(not c.den.is_const())
     assert c.den.min_exp() == 0 and c.den.leading_coeff() > 0
     assert all(x.denominator == 1 for x in c.den.terms.values())
     assert c == Coefficient.from_rational(Fraction(value)) / Coefficient(den)
+
+
+# -- the elimination kernel ------------------------------------------------------
+
+
+def _combination(a, b, c):
+    combo = {j: a.get(j, ZERO) * c + b.get(j, ZERO) for j in set(a) | set(b)}
+    return {j: value for j, value in combo.items() if not value.is_zero()}
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to three sparse rows on columns 0-2, then up to two combinations of
+    them, so that dependent rows are common."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 2), nonzero, max_size=3),
+                         max_size=3))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(_combination(a, b, draw(st.sampled_from([ONE, -ONE, Q(1), NU]))))
+    return rows
+
+
+@_SETTINGS
+@given(sparse_rows())
+def test_pivots_span_the_rows_in_tail_form(rows):
+    copies = [dict(row) for row in rows]
+    pivots = {}
+    inserted = sum(1 for row in rows if linalg.insert_pivot(row, pivots))
+    assert inserted == len(pivots) == linalg.rank(rows) == linalg.rank(rows[::-1])
+    assert all(j > lead for lead, tail in pivots.items() for j in tail)
+    assert not any(linalg.reduce(row, pivots) for row in rows)
+    assert rows == copies
+
+
+@_SETTINGS
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.one_of(st.just(ZERO), nonzero), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(coefficients, min_size=n, max_size=n))))
+def test_solve_solves_or_finds_a_rank_deficit(system):
+    matrix, rhs = system
+    x = linalg.solve(matrix, rhs)
+    if x is None:
+        rows = [{j: c for j, c in enumerate(entries) if not c.is_zero()}
+                for entries in matrix]
+        assert linalg.rank(rows) < len(matrix)
+    else:
+        assert _apply(matrix, x) == rhs
 
 
 # -- the stored form of term values ----------------------------------------------
