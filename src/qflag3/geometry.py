@@ -5,7 +5,6 @@ counts for covariant connections, and the Kaehler obstruction computations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -285,12 +284,13 @@ def kahler_cube():
 
 def cube_at(cube, values) -> Coefficient:
     """The top coefficient of the cube at exact rational values of c1, c2, c3."""
+    values = [Coefficient.from_rational(value) for value in values]
     total = ZERO
     for exps, coeff in cube.items():
-        scalar = Fraction(1)
         for value, exp in zip(values, exps):
-            scalar *= Fraction(value) ** exp
-        total = total + coeff * Coefficient.from_rational(scalar)
+            for _ in range(exp):
+                coeff = coeff * value
+        total = total + coeff
     return total
 
 

@@ -4,7 +4,9 @@ graded bases of irreducible words, and Hilbert series.
 
 Words are tuples of letter indices.  The monomial order is degree-first, then
 left-to-right lexicographic on letter ranks; every rewrite rule must be
-strictly decreasing, which certifies termination.
+strictly decreasing, which certifies termination.  Normal forms reduce the
+leftmost reducible pair first; for a non-confluent system, such as the bundled
+one, that order decides them (diamond lemma).
 """
 
 from __future__ import annotations
@@ -184,37 +186,23 @@ class ReductionSystem:
 
     # -- normal forms --------------------------------------------------------
 
-    def _first_reducible(self, word):
-        for i in range(len(word) - 1):
-            if word[i:i + 2] in self._by_lhs:
-                return i
-        return None
-
     def _nf_word(self, word) -> dict:
-        """Normal form of a single word, as a map irreducible word -> Coefficient."""
+        """Normal form of a word, as a map irreducible word -> Coefficient: rewrite
+        the leftmost pair that is a rule lhs (the order that decides the normal
+        forms of a non-confluent system) and recurse, caching every word met."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        acc = {}
-        work = [(word, ONE)]
-        while work:
-            current, coeff = work.pop()
-            if current != word:
-                hit = self._nf_cache.get(current)
-                if hit is not None:
-                    for w, c in hit.items():
-                        _add_term(acc, w, coeff * c)
-                    continue
-            pos = self._first_reducible(current)
-            if pos is None:
-                _add_term(acc, current, coeff)
-                continue
-            rule = self._by_lhs[current[pos:pos + 2]]
-            prefix, suffix = current[:pos], current[pos + 2:]
-            for rword, rcoeff in rule.rhs.terms.items():
-                work.append((prefix + rword + suffix, coeff * rcoeff))
-        self._nf_cache[word] = acc
-        return acc
+        pos = next((i for i in range(len(word) - 1) if word[i:i + 2] in self._by_lhs), None)
+        if pos is None:
+            nf = {word: ONE}
+        else:
+            nf, prefix, suffix = {}, word[:pos], word[pos + 2:]
+            for rword, rcoeff in self._by_lhs[word[pos:pos + 2]].rhs.terms.items():
+                for w, c in self._nf_word(prefix + rword + suffix).items():
+                    _add_term(nf, w, rcoeff * c)
+        self._nf_cache[word] = nf
+        return nf
 
     def normal_form(self, poly: NCPolynomial) -> NCPolynomial:
         total = {}

@@ -150,9 +150,12 @@ class LaurentPoly:
 
     @staticmethod
     def gcd(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
-        """Monic gcd in Q[q] of the shifted polynomials (q-power units dropped)."""
+        """Monic gcd in Q[q] of the shifted polynomials (q-power units dropped),
+        by a primitive remainder sequence: each remainder is divided by its
+        content, so the rational coefficients do not swell."""
         while not b.is_zero():
-            a, b = b, LaurentPoly._divmod(a, b)[1]
+            rem = LaurentPoly._divmod(a, b)[1]
+            a, b = b, rem.scale(1 / _content(rem)) if rem.terms else rem
         return a.monic()
 
     def monic(self) -> "LaurentPoly":

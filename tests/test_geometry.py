@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from qflag3 import flagext, geometry, qpair
 from qflag3.geometry import (Foacs, STRUCTURE_I, STRUCTURE_II,
                              centrality_verdicts, centrality_witness_value,
@@ -115,6 +117,8 @@ def test_kahler_cube_symbolic():
     assert cube_at(cube, [0, 1, 1]).is_zero()
     assert cube_at(cube, [0, Fraction(2, 3), 5]).is_zero()
     assert not cube_at(cube, [1, 1, 1]).is_zero()
+    with pytest.raises(TypeError):
+        cube_at(cube, (0.1, 1, 1))
 
 
 def test_kahler_cube_numeric_and_classical():

@@ -84,7 +84,7 @@ def test_normal_form_idempotent_and_linear():
 
 
 _ALGEBRA = build_relations()
-_words = st.lists(st.integers(0, 5), min_size=2, max_size=4).map(tuple)
+_words = st.lists(st.integers(0, 5), min_size=2, max_size=8).map(tuple)
 # mostly the coefficients the relations carry (+-q^k, nu), some with denominators
 _coefficients = st.one_of(
     st.sampled_from([ONE, -ONE, Q(1), -Q(-2), Coefficient.nu()]),
