@@ -253,19 +253,17 @@ class ReductionSystem:
     # -- graded bases ----------------------------------------------------------
 
     def irreducible_words(self, degree: int):
-        """All degree-k words containing no rule lhs, in lexicographic order."""
+        """All degree-k words containing no rule lhs, in lexicographic order;
+        none in any degree above the first empty one."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         n = len(self.alphabet)
         words = [()]
         for _ in range(degree):
-            extended = []
-            for word in words:
-                for letter in range(n):
-                    if word and (word[-1], letter) in self._by_lhs:
-                        continue
-                    extended.append(word + (letter,))
-            words = extended
+            words = [word + (letter,) for word in words for letter in range(n)
+                     if not word or (word[-1], letter) not in self._by_lhs]
+            if not words:
+                break
         return words
 
     def hilbert_series(self, max_degree: int):

@@ -4,12 +4,14 @@ Every pairing comes from the Drinfeld-Jimbo generators of U_q(sl_3)
 (Jantzen, Lectures on Quantum Groups, ch. 4).  A generator pairs with u_rc
 by the entry (r, c) of its matrix in the vector representation, and the
 coproducts Delta(E_i) = E_i (x) K_i + 1 (x) E_i, Delta(F_i) = F_i (x) 1 +
-K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.  A
-functional is a polynomial in the generators, kept as a sum of states:
-generator words in normal form, the E/F letters followed by K1^a K2^b.  From
-these come the coset map onto the cotangent space V1, the two-fold coproduct
-map omega, and the right module action on V1^(x)k, a tensor of which is a
-degree-k polynomial over the cotangent alphabet.
+K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.  A member,
+a product of members and any polynomial in the generators is a sum of
+states: generator words in normal form, the E/F letters followed by
+K1^a K2^b, where K moves right past a letter X by the ratio of K's diagonal
+entries at X's one matrix entry.  One recursion, ``_pair_word``, pairs a
+state with a word.  From it come the coset map onto the cotangent space V1,
+the two-fold coproduct map omega, and the right module action on V1^(x)k, a
+tensor of which is a degree-k polynomial over the cotangent alphabet.
 
 The pairing is graded by weight, and this module is the one place that
 states the grading: u_ij has weight e_i - e_j (``u_weight``), an E/F letter
@@ -19,17 +21,17 @@ and ``functional_weights`` checks that each member's states share one weight.
 A cotangent letter has the weight of its slot dual (``letter_weights``), so
 e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the dual
 pairs of a word's weight and ``coset`` only the slot dual of that weight.
-Each pairing has one memo: ``_pair_cache`` for states and ``_pair2_cache`` for
-products of members.  ``omega_by_expansion`` checks omega independently: it
-walks each word's intermediate index tuples from left to right, stepping the
-slot duals' single states letter by letter, reads no weight and caches
-nothing.
+``_pair_cache`` memoises states and ``_pair2_cache`` products of two
+members.  ``omega_by_expansion`` checks omega independently: it walks each
+word's intermediate index tuples from left to right, stepping the slot
+duals' single states letter by letter, reads no weight and caches nothing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
+from math import prod
 from types import MappingProxyType
 
 from . import rootdata
@@ -82,8 +84,6 @@ GENERATORS = {
 }
 # Delta(X_i) = X_i (x) K_i^m + K_i^n (x) X_i, with (m, n) by the kind of X
 COPRODUCT_K_POWERS = {"E": (1, 0), "F": (0, -1)}
-# the simple root of K1 and of K2
-K_ROOTS = (rootdata.ALPHA1, rootdata.ALPHA2)
 
 # The family, each member a polynomial in the generators as (coefficient,
 # word) terms: the six slot duals, with Lusztig's root vectors
@@ -110,30 +110,46 @@ def _letter_weight(letter):
     return u_weight(u_word((row, col)))
 
 
+def _entry(factor, row):
+    """The nonzero entry (column, value) in the given row of a factor's
+    matrix, or None: a letter's one entry, or the diagonal of K1^a K2^b."""
+    if isinstance(factor, str):
+        return GENERATORS[factor].get(row)
+    value = ONE
+    for name, power in zip(("K1", "K2"), factor):
+        diagonal = GENERATORS[name][row][1]
+        for _ in range(abs(power)):
+            value = value * diagonal if power > 0 else value / diagonal
+    return row, value
+
+
 def _normal_form(factors):
     """A generator word as (coefficient, state), a state being its E/F
     letters followed by the exponents a, b of K1^a K2^b.  Every K power moves
-    right past each E/F letter X after it: K_i^n X = q^(-n (alpha_i, wt X)) X K_i^n."""
-    letters, k, shift = [], (0, 0), 0
+    right past each E/F letter X after it: K X = (k_r / k_c) X K, for X's one
+    matrix entry (r, c) and k the diagonal of K."""
+    letters, k, scale = [], (0, 0), ONE
     for factor in factors:
         if isinstance(factor, str):
             if k != (0, 0):
-                weight = _letter_weight(factor)
-                shift -= sum(power * rootdata.inner_product(root, weight)
-                             for power, root in zip(k, K_ROOTS))
+                (row, (col, _)), = GENERATORS[factor].items()
+                scale = scale * _entry(k, row)[1] / _entry(k, col)[1]
             letters.append(factor)
         else:
             k = rootdata.add(k, factor)
-    return (Coefficient.q_power(shift) if shift else ONE), tuple(letters) + k
+    return scale, tuple(letters) + k
 
 
 @lru_cache(maxsize=None)
-def _member_states(name):
-    """The member as a sum of states: (state, coefficient), equal states added."""
+def _member_states(*names):
+    """The product of the named members as a sum of states, (state,
+    coefficient) with equal states added: the normal forms of the
+    concatenated words of every choice of one term per member."""
     summed = {}
-    for coeff, word in MEMBERS[name]:
-        scale, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in word.split()])
-        summed[state] = summed.get(state, ZERO) + coeff * scale
+    for terms in product(*(MEMBERS[name] for name in names)):
+        tokens = " ".join(word for _, word in terms).split()
+        scale, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in tokens])
+        summed[state] = summed.get(state, ZERO) + prod((c for c, _ in terms), start=scale)
     return tuple((state, c) for state, c in summed.items() if not c.is_zero())
 
 
@@ -195,19 +211,6 @@ _pair_cache = {}
 _pair2_cache = {}
 
 
-def _entry(factor, row):
-    """The nonzero entry (column, value) in the given row of a factor's
-    matrix, or None: a letter's one entry, or the diagonal of K1^a K2^b."""
-    if isinstance(factor, str):
-        return GENERATORS[factor].get(row)
-    value = ONE
-    for name, power in zip(("K1", "K2"), factor):
-        diagonal = GENERATORS[name][row][1]
-        for _ in range(abs(power)):
-            value = value * diagonal if power > 0 else value / diagonal
-    return row, value
-
-
 @lru_cache(maxsize=None)
 def _steps(state, letter):
     """The nonzero (right state, factor) terms that pairing the state with
@@ -256,41 +259,16 @@ def _pair_word(state, word) -> Coefficient:
 
 def pair(name, word) -> Coefficient:
     """Pairing of the named member against a u-word."""
-    value = ZERO
-    for state, coeff in _member_states(name):
-        value = value + coeff * _pair_word(state, word)
-    return value
-
-
-@lru_cache(maxsize=None)
-def _product_steps(x, y, letter):
-    """The transitions of the product x*y, those of its states added up."""
-    merged = {}
-    for sx, cx in _member_states(x):
-        for sy, cy in _member_states(y):
-            scale, state = _normal_form([*sx[:-2], sx[-2:], *sy[:-2], sy[-2:]])
-            for right, factor in _steps(state, letter):
-                merged[right] = merged.get(right, ZERO) + cx * cy * scale * factor
-    return tuple((right, factor) for right, factor in merged.items() if not factor.is_zero())
+    return sum((c * _pair_word(state, word) for state, c in _member_states(name)), ZERO)
 
 
 def _pair2_word(x, y, word) -> Coefficient:
-    """Pairing of the product x*y against a word: the sum over the word's
-    intermediate index tuples of x on the left leg times y on the right."""
+    """Pairing of the product x*y against a u-word, through its states."""
     key = (x, y, word)
-    hit = _pair2_cache.get(key)
-    if hit is not None:
-        return hit
-    if not word:
-        value = pair(x, ()) * pair(y, ())  # the counit is multiplicative
-    else:
-        rest = word[1:]
-        value = ZERO
-        for right, factor in _product_steps(x, y, word[0]):
-            tail = _pair_word(right, rest)
-            if not tail.is_zero():
-                value = value + factor * tail
-    _pair2_cache[key] = value
+    value = _pair2_cache.get(key)
+    if value is None:
+        value = _pair2_cache[key] = sum(
+            (c * _pair_word(state, word) for state, c in _member_states(x, y)), ZERO)
     return value
 
 

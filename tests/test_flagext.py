@@ -225,6 +225,15 @@ def test_nakayama_is_algebra_morphism_on_rules():
     assert nakayama_is_algebra_morphism(associated_graded())
 
 
+def test_nakayama_morphism_check_sees_a_wrong_eigenvalue(monkeypatch):
+    # with sigma(e_a1) scaled by q, the nu-term f_a12.e_a12 of the rule for
+    # e_a1.f_a1 no longer has the eigenvalue of its lhs
+    table = nakayama_generator_table(build_relations())
+    table["e_a1"] = table["e_a1"] * Q(1)
+    monkeypatch.setattr(flagext, "nakayama_generator_table", lambda algebra: table)
+    assert not nakayama_is_algebra_morphism(build_relations())
+
+
 def test_pairing_invertible_everywhere_but_permutation_only_outside_middle():
     algebra = build_relations()
     permutation_degrees = []

@@ -162,6 +162,12 @@ def test_irreducible_words():
     assert all(w[0] < w[1] for w in words)
 
 
+def test_irreducible_words_stop_at_the_first_empty_degree(time_limit):
+    # degree 7 is empty, so no higher degree costs a pass over its words
+    with time_limit(1):
+        assert build_relations().system.irreducible_words(10**9) == []
+
+
 def test_hilbert_series():
     algebra = build_relations()
     assert algebra.system.hilbert_series(6) == [1, 6, 15, 20, 15, 6, 1]

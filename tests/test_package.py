@@ -29,12 +29,16 @@ def _load_benchmark_ops():
 
 def test_benchmark_counters_resolve():
     # perfbench/ops.py counts calls by function name and reads the size of
-    # the product-pairing cache; a rename would drop the count silently
+    # the product-pairing cache; a rename would drop the count silently, and
+    # a product pairing that bypassed the cache would empty its hit ratio
     ops = _load_benchmark_ops()
     for metric, (module, attr) in ops.COUNTED.items():
         __import__(module)
         assert ops._lookup(module, attr) is not None, metric
-    assert isinstance(qflag3.qpair._pair2_cache, dict)
+    qpair = qflag3.qpair
+    qpair._pair2_cache.clear()
+    qpair.omega(qpair.plus_part(qpair.flag_generator(1, 2, 2)))
+    assert qpair._pair2_cache
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),

@@ -137,8 +137,15 @@ def test_cotangent_weight_is_additive():
 
 
 def test_states_are_in_normal_form():
-    # K powers move right past each E/F letter by K_i X = q^(-(alpha_i, wt X)) X K_i
-    assert generator_polynomial((ONE, "K1 F1")) == ((("F1", 1, 0), Q(-2)),)
+    # K powers move right past each E/F letter by the Cartan matrix:
+    # K_i E_j = q^(a_ij) E_j K_i and K_i F_j = q^(-a_ij) F_j K_i
+    cartan = ((2, -1), (-1, 2))
+    for i, j, n in itertools.product((1, 2), (1, 2), (1, -1)):
+        k = (n, 0) if i == 1 else (0, n)
+        for kind, sign in (("E", 1), ("F", -1)):
+            letter = "%s%d" % (kind, j)
+            assert generator_polynomial((ONE, "K%d^%d %s" % (i, n, letter))) == \
+                (((letter, *k), Q(sign * n * cartan[i - 1][j - 1])),), (i, n, letter)
     assert generator_polynomial((ONE, "K2 E1 K1")) == ((("E1", 1, 1), Q(-1)),)
     assert generator_polynomial((ONE, "E2 K1^-1 E1")) == ((("E2", "E1", -1, 0), Q(-2)),)
     # equal states add up, and a sum that cancels is empty
@@ -417,19 +424,23 @@ def test_omega_agrees_with_explicit_expansion():
 
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
-    # the check never reaches the pairings it checks, nor coset or the
-    # weights that prune omega and coset, and adds no entry to any pairing
-    # cache: it shares only _steps and _member_states with omega
+    # the check never reaches the pairings it checks, nor the states of a
+    # product of members, coset or the weights that prune omega and coset,
+    # and adds no entry to any pairing cache: it shares only _steps,
+    # _normal_form and the single-member _member_states with omega
     samples = omega_samples()
     expected = [omega(poly) for poly in samples]
 
     def forbidden(*args):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
-    for name in ("_pair2_word", "_product_steps", "_pair_word", "pair", "coset",
+    for name in ("_pair2_word", "_pair_word", "pair", "coset",
                  "u_weight", "functional_weights", "letter_weights",
                  "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight"):
         monkeypatch.setattr(qpair, name, forbidden)
+    member_states = qpair._member_states
+    monkeypatch.setattr(qpair, "_member_states",
+                        lambda *names: member_states(*names) if len(names) == 1 else forbidden())
     caches = (qpair._pair_cache, qpair._pair2_cache)
     sizes = [len(cache) for cache in caches]
     assert [omega_by_expansion(poly) for poly in samples] == expected
