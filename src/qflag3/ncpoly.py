@@ -284,8 +284,18 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     elimination: the columns are numbered from the largest word down, so
     that word is the least key, the lead that `linalg` pivots at.  Every rhs
     word precedes its lhs, so the raw row u*(lhs - rhs)*v leads with u*lhs*v.
-    The rows are made word by word in column order, the rows of one leading
-    word sparsest first and then in rule order, and each is reduced through
+    The rows are made leading word by leading word in ascending order, which
+    is from the highest column number down, the rows of one leading word
+    sparsest first and then in rule order.
+
+    A row is skipped when its placement is disjoint from (two or more letters
+    away from) an earlier placement in the same word, because such an
+    ambiguity always resolves (Bergman 1978, section 1): with r = L - R and
+    w = a*L1*b*L2*c, the rows A = a*r1*b*L2*c and B = a*L1*b*r2*c differ by
+    a*r1*b*R2*c - a*R1*b*r2*c, a sum of rows that lead with smaller words,
+    which were taken before w; by induction on w, every skipped row lies in
+    the span of the pivots.  Overlapping placements are all kept; they carry
+    the collapse.  Each kept row is reduced through
     `linalg.reduce` as soon as it is made, so the raw rows are never all in
     memory.  The oracle stores a new pivot itself, in linalg's form (tail
     divided by minus lead), so that a profile of this function sees each row
@@ -311,7 +321,9 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     for word in all_words:
         placements = sorted((index_of[word[p:p + 2]], p) for p in range(degree - 1)
                             if word[p:p + 2] in index_of)
-        for i, p in placements:
+        for k, (i, p) in enumerate(placements):
+            if any(abs(p - q) > 1 for _, q in placements[:k]):
+                continue  # disjoint from an earlier placement: already spanned
             u, v = word[:p], word[p + 2:]
             row = linalg.reduce({col[u + w + v]: c for w, c in relations[i]}, pivots)
             if row:  # an empty remainder is a dependent row

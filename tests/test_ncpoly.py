@@ -1,9 +1,11 @@
+import itertools
 import random
 import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qflag3 import linalg
 from qflag3.flagext import associated_graded, build_relations
 from qflag3.ncpoly import (Alphabet, NCPolynomial, ReductionSystem, RewriteRule,
                            quotient_dimension_by_elimination)
@@ -177,8 +179,10 @@ def test_hilbert_series():
 
 
 def test_elimination_oracle_on_graded_system(time_limit):
+    # the graded system is confluent, so its quotient has the irreducible-word
+    # count in every degree: 1, 6, 15, 20, 15, 6, 1
     graded = associated_graded()
-    for degree in range(4):
+    for degree in range(7):
         with time_limit(5):
             dimension = quotient_dimension_by_elimination(graded.system, degree)
         assert dimension == len(graded.system.irreducible_words(degree))
@@ -267,6 +271,51 @@ def test_elimination_oracle_does_not_depend_on_the_pivot_order(time_limit, rules
         with time_limit(2):
             dimension = quotient_dimension_by_elimination(system, degree)
         assert dimension == _smallest_column_dimension(system, degree)
+
+
+def _unpruned_dimension(system, degree):
+    """6^k minus the rank of every raw row u*(lhs - rhs)*v, none skipped, with
+    the columns numbered from the largest word down and the rows taken in
+    ascending order of their leading word."""
+    n = len(system.alphabet)
+    words = list(itertools.product(range(n), repeat=degree))
+    col = {w: i for i, w in enumerate(reversed(words))}
+    rows = []
+    for word in words:
+        for start in range(degree - 1):
+            rewrite = system.rule_for(word[start:start + 2])
+            if rewrite is not None:
+                u, v = word[:start], word[start + 2:]
+                row = {col[word]: ONE}
+                row.update((col[u + w + v], -c) for w, c in rewrite.rhs.terms.items())
+                rows.append(row)
+    return n ** degree - linalg.rank(rows)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=5, deadline=None)
+@given(_rule_subsets)
+@example(_RULE_SETS[0])
+@example(_RULE_SETS[1])
+def test_elimination_oracle_skips_only_spanned_rows(time_limit, rules):
+    # from degree 4 on a word can hold two disjoint rule placements, and the
+    # oracle skips a placement disjoint from an earlier one; the rank must
+    # still be that of every row
+    system = ReductionSystem(_ALGEBRA.alphabet, rules)
+    for degree in (4, 5):
+        with time_limit(3):
+            assert (quotient_dimension_by_elimination(system, degree)
+                    == _unpruned_dimension(system, degree))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=5, deadline=None)
+@given(_random_rules)
+def test_elimination_oracle_skips_only_spanned_rows_of_random_rules(time_limit, rules):
+    # random coefficients make even the unpruned reference slow beyond degree 4
+    system = ReductionSystem(_ALGEBRA.alphabet, rules)
+    with time_limit(3):
+        assert quotient_dimension_by_elimination(system, 4) == _unpruned_dimension(system, 4)
 
 
 def _specialized_rank(system, qval):

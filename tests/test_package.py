@@ -46,12 +46,15 @@ def test_benchmark_counters_resolve():
 def test_benchmark_oracle_counters_read_the_oracle():
     # perfbench/ops.py counts the oracle's rows and pivots by profiling its
     # row-building comprehension and the comprehension that divides by the
-    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200,
-    # degree 4 has 21 x 108 = 2,268 rows of rank 6^4 - 9 = 1,287, so every
-    # placement is made once and every pivot is divided once
+    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200;
+    # from degree 4 on the oracle skips a placement disjoint from an earlier
+    # one in its word, keeping 1,827 of 2,268 rows in degree 4 (rank
+    # 6^4 - 9 = 1,287) and 11,098 of 18,144 in degree 5 (rank 6^5 - 2 =
+    # 7,774), so every kept placement is built once and every pivot is
+    # divided once
     ops = _load_benchmark_ops()
     system = qflag3.flagext.build_relations().system
-    for degree, rows, rank in ((3, 252, 200), (4, 2268, 1287)):
+    for degree, rows, rank in ((3, 252, 200), (4, 1827, 1287), (5, 11098, 7774)):
         profiler = cProfile.Profile()
         profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, degree)
         counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
