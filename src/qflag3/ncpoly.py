@@ -273,35 +273,55 @@ class ReductionSystem:
         return "\n".join(rule.render(self.alphabet) for rule in self.rules)
 
 
+def _right_multiples(pivots, n):
+    """Every pivot times every letter on the right, one degree up: the word
+    w*x has column n*col(w) + n-1-x, so each lead stays the least key of its
+    row and the tails need no arithmetic."""
+    return {n * lead + s: {n * j + s: c for j, c in tail.items()}
+            for lead, tail in pivots.items() for s in range(n)}
+
+
 def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> int:
-    """Brute-force oracle for dim of the degree-k quotient.
+    """Exact oracle for dim of the degree-k quotient of the free algebra by
+    the two-sided ideal I that the relations r = lhs - rhs generate, by
+    Gaussian elimination independent of the rewrite engine.
 
-    Spans the two-sided ideal slice u*(lhs - rhs)*v over all words u, v with
-    |u| + |v| = k - 2 inside the full 6^k word basis and Gaussian-eliminates,
-    independently of the rewrite engine.
+    The columns of degree k are its n^k words numbered from the largest
+    down, col(w*x) = n*col(w) + n-1-x, so a row's largest word is its least
+    key, the lead that `linalg` pivots at; every rhs word precedes its lhs,
+    so u*r leads with u*lhs.  The ideal is generated in degree 2, so
+    I_k = I_{k-1}*V + V^{k-2}*R, and one call builds an echelon basis (the
+    pivots) of degree 2, 3, ..., k in turn:
 
-    Each row is pivoted at its largest word, as in Macaulay-matrix (F4)
-    elimination: the columns are numbered from the largest word down, so
-    that word is the least key, the lead that `linalg` pivots at.  Every rhs
-    word precedes its lhs, so the raw row u*(lhs - rhs)*v leads with u*lhs*v.
-    The rows are made leading word by leading word in ascending order, which
-    is from the highest column number down, the rows of one leading word
-    sparsest first and then in rule order.
+    - every raw pivot of degree k-1 times each letter is a raw pivot: a
+      placement u*r*v of one relation, its tail the rhs as placed, made with
+      no arithmetic;
+    - for every irreducible prefix u of length k-2 and every rule, the row
+      u*r is built.  When u's last letter and the lhs's first letter are not
+      a rule lhs, no raw pivot leads with u*lhs and the row becomes one, so
+      every reducible word has exactly one.  Otherwise the sparser of the
+      row and the raw pivot already there stays the raw pivot;
+    - the other rows, the pivots that reduction made in degree k-1 times
+      each letter and at each overlap the row that is not the raw pivot,
+      are reduced through `linalg.reduce`; each nonzero remainder is a new
+      pivot.
 
-    A row is skipped when its placement is disjoint from (two or more letters
-    away from) an earlier placement in the same word, because such an
-    ambiguity always resolves (Bergman 1978, section 1): with r = L - R and
-    w = a*L1*b*L2*c, the rows A = a*r1*b*L2*c and B = a*L1*b*r2*c differ by
-    a*r1*b*R2*c - a*R1*b*r2*c, a sum of rows that lead with smaller words,
-    which were taken before w; by induction on w, every skipped row lies in
-    the span of the pivots.  Overlapping placements are all kept; they carry
-    the collapse.  Each kept row is reduced through
-    `linalg.reduce` as soon as it is made, so the raw rows are never all in
-    memory.  The oracle stores a new pivot itself, in linalg's form (tail
-    divided by minus lead), so that a profile of this function sees each row
-    built and each pivot divided.  The rank of the row set does not depend
-    on the order in which rows are taken or on the column each is pivoted
-    at, so the dimension does not either.
+    These rows span I_k: the pivots of degree k-1 span I_{k-1}, and a row
+    u*r with u reducible is spanned without being built (Bergman 1978,
+    section 1): with u = a*L'*b and r' = L' - R', u*r = a*r'*b*L +
+    a*R'*b*r - a*r'*b*R, where the first and last terms lie in I_{k-1}*V
+    and the middle one is a sum of rows with smaller prefixes, so the claim
+    follows by induction on u.
+
+    The rank does not depend on the order in which the rows are reduced, but
+    the time does: they are taken in ascending order of their leading word.
+    Of the ten slowest in degree 4 among 240 systems with random
+    coefficients, descending order took over 120 s on three that this
+    order reduces in under 3 s.
+
+    The oracle builds each row and divides each new pivot (tail by minus
+    lead, linalg's form) itself, so that a profile of this function sees
+    each row built and each pivot divided.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -309,25 +329,36 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     if degree < 2:
         return n ** degree
 
-    all_words = [()]
-    for _ in range(degree):
-        all_words = [w + (letter,) for w in all_words for letter in range(n)]
-    col = {w: i for i, w in enumerate(reversed(all_words))}
-    relations = sorted(([(rule.lhs, ONE)] + [(w, -c) for w, c in rule.rhs.terms.items()]
-                        for rule in system.rules), key=len)
-    index_of = {relation[0][0]: i for i, relation in enumerate(relations)}
+    def col(word):
+        return n * (n - 1 - word[0]) + n - 1 - word[1]
 
-    pivots = {}
-    for word in all_words:
-        placements = sorted((index_of[word[p:p + 2]], p) for p in range(degree - 1)
-                            if word[p:p + 2] in index_of)
-        for k, (i, p) in enumerate(placements):
-            if any(abs(p - q) > 1 for _, q in placements[:k]):
-                continue  # disjoint from an earlier placement: already spanned
-            u, v = word[:p], word[p + 2:]
-            row = linalg.reduce({col[u + w + v]: c for w, c in relations[i]}, pivots)
+    minus_one, lhs_set = -ONE, {rule.lhs for rule in system.rules}
+    relations = [(col(rule.lhs), [(col(w), c) for w, c in rule.rhs.terms.items()])
+                 for rule in system.rules]
+    # irreducible prefixes of length k-2, as (column, last letter)
+    prefixes, pivots, made = [(0, None)], {}, []
+    for _ in range(degree - 1):
+        pivots = _right_multiples(pivots, n)
+        rows = [(lead, pivots.pop(lead)) for c in made for lead in range(n * c, n * c + n)]
+        for base, last in prefixes:
+            base *= n * n
+            for lead, rhs in relations:
+                tail = {base + j: c for j, c in rhs}
+                held = pivots.get(base + lead)  # set iff u*lhs overlaps the end of u
+                if held is None or len(tail) < len(held):
+                    pivots[base + lead], tail = tail, held
+                if tail is not None:
+                    rows.append((base + lead, tail))
+        rows.sort(key=lambda item: item[0], reverse=True)  # ascending leading word
+        made = []
+        for lead, tail in rows:
+            tail[lead] = minus_one
+            row = linalg.reduce(tail, pivots)
             if row:  # an empty remainder is a dependent row
                 lead = min(row)
                 scale = -row.pop(lead)
                 pivots[lead] = {j: c / scale for j, c in row.items()}
+                made.append(lead)
+        prefixes = [(n * base + n - 1 - x, x) for base, last in prefixes for x in range(n)
+                    if (last, x) not in lhs_set]
     return n ** degree - len(pivots)

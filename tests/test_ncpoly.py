@@ -180,9 +180,9 @@ def test_hilbert_series():
 
 def test_elimination_oracle_on_graded_system(time_limit):
     # the graded system is confluent, so its quotient has the irreducible-word
-    # count in every degree: 1, 6, 15, 20, 15, 6, 1
+    # count in every degree: 1, 6, 15, 20, 15, 6, 1, then 0 from degree 7 on
     graded = associated_graded()
-    for degree in range(7):
+    for degree in range(8):
         with time_limit(5):
             dimension = quotient_dimension_by_elimination(graded.system, degree)
         assert dimension == len(graded.system.irreducible_words(degree))
@@ -199,12 +199,14 @@ def test_elimination_oracle_flags_the_full_system_collapse(time_limit):
 
 def test_elimination_oracle_exact_series_after_the_collapse(time_limit):
     # ROADMAP item 2: the true quotient has dimensions 9, 2 and 0 in degrees
-    # 4, 5 and 6, so every word of length 6 lies in the ideal
+    # 4, 5 and 6, so every word of length 6 lies in the ideal, and so does
+    # every word of length 7
     system = build_relations().system
     with time_limit(30):
         assert quotient_dimension_by_elimination(system, 4) == 9
         assert quotient_dimension_by_elimination(system, 5) == 2
         assert quotient_dimension_by_elimination(system, 6) == 0
+        assert quotient_dimension_by_elimination(system, 7) == 0
 
 
 def test_elimination_oracle_rejects_a_negative_degree():
@@ -298,9 +300,10 @@ def _unpruned_dimension(system, degree):
 @example(_RULE_SETS[0])
 @example(_RULE_SETS[1])
 def test_elimination_oracle_skips_only_spanned_rows(time_limit, rules):
-    # from degree 4 on a word can hold two disjoint rule placements, and the
-    # oracle skips a placement disjoint from an earlier one; the rank must
-    # still be that of every row
+    # the oracle builds degree k from the pivots of degree k - 1 and builds
+    # a row u*(lhs - rhs) only for an irreducible prefix u, so it never
+    # builds a row with a reducible prefix or a nonempty suffix; the rank
+    # must still be that of every row
     system = ReductionSystem(_ALGEBRA.alphabet, rules)
     for degree in (4, 5):
         with time_limit(3):
@@ -316,6 +319,16 @@ def test_elimination_oracle_skips_only_spanned_rows_of_random_rules(time_limit, 
     system = ReductionSystem(_ALGEBRA.alphabet, rules)
     with time_limit(3):
         assert quotient_dimension_by_elimination(system, 4) == _unpruned_dimension(system, 4)
+
+
+def test_elimination_oracle_has_the_rank_of_every_row_in_degree_6(time_limit):
+    # the bundled system's quotient vanishes first in degree 6 and the graded
+    # one is 1-dimensional there; the reference builds all 21 x 5 x 6^4 rows
+    for rules in _RULE_SETS:
+        system = ReductionSystem(_ALGEBRA.alphabet, rules)
+        with time_limit(30):
+            assert (quotient_dimension_by_elimination(system, 6)
+                    == _unpruned_dimension(system, 6))
 
 
 def _specialized_rank(system, qval):

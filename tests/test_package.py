@@ -46,19 +46,20 @@ def test_benchmark_counters_resolve():
 def test_benchmark_oracle_counters_read_the_oracle():
     # perfbench/ops.py counts the oracle's rows and pivots by profiling its
     # row-building comprehension and the comprehension that divides by the
-    # pivot; degree 3 has 21 rules x 12 placements = 252 rows of rank 200;
-    # from degree 4 on the oracle skips a placement disjoint from an earlier
-    # one in its word, keeping 1,827 of 2,268 rows in degree 4 (rank
-    # 6^4 - 9 = 1,287) and 11,098 of 18,144 in degree 5 (rank 6^5 - 2 =
-    # 7,774), so every kept placement is built once and every pivot is
-    # divided once
+    # pivot; the oracle builds degree 2 up to k, one row u*(lhs - rhs) per
+    # rule and irreducible prefix u of length at most k - 2 (1, 6, 15 and
+    # 20 prefixes of lengths 0 to 3), so 21 x 7 = 147, 21 x 22 = 462 and
+    # 21 x 42 = 882 rows in degrees 3, 4 and 5; it divides only the pivots
+    # that reduction makes, irreducible words minus dimension summed over
+    # the degrees: 20 - 16 = 4 in degree 3, 15 - 9 = 6 in degree 4 and
+    # 6 - 2 = 4 in degree 5, so 4, 10 and 14
     ops = _load_benchmark_ops()
     system = qflag3.flagext.build_relations().system
-    for degree, rows, rank in ((3, 252, 200), (4, 1827, 1287), (5, 11098, 7774)):
+    for degree, rows, made in ((3, 147, 4), (4, 462, 10), (5, 882, 14)):
         profiler = cProfile.Profile()
         profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, degree)
         counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
-        assert counts == {"ncpoly.oracle_rows": rows, "ncpoly.oracle_rank": rank}
+        assert counts == {"ncpoly.oracle_rows": rows, "ncpoly.oracle_rank": made}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
