@@ -2,29 +2,34 @@
 
 Every pairing comes from the Drinfeld-Jimbo generators of U_q(sl_3)
 (Jantzen, Lectures on Quantum Groups, ch. 4).  A generator pairs with u_rc
-by the entry (r, c) of its matrix in the vector representation, and the
-coproducts Delta(E_i) = E_i (x) K_i + 1 (x) E_i, Delta(F_i) = F_i (x) 1 +
-K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.  A member,
-a product of members and any polynomial in the generators is a sum of
-states: generator words in normal form, the E/F letters followed by
+by the entry (r, c) of its matrix in the vector representation, a power of
+q, and the coproducts Delta(E_i) = E_i (x) K_i + 1 (x) E_i, Delta(F_i) =
+F_i (x) 1 + K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.
+A member, a product of members and any polynomial in the generators is a sum
+of states: generator words in normal form, the E/F letters followed by
 K1^a K2^b, where K moves right past a letter X by the ratio of K's diagonal
 entries at X's one matrix entry.  One recursion, ``_pair_word``, pairs a
-state with a word.  From it come the coset map onto the cotangent space V1,
-the two-fold coproduct map omega, and the right module action on V1^(x)k, a
-tensor of which is a degree-k polynomial over the cotangent alphabet.
+state with a word in steps of q-exponents, so its values lie in Z[q, q^-1]
+(LaurentPoly); a Coefficient is built only where member coefficients meet
+them.  From it come the coset map onto V1, the two-fold coproduct map omega
+and the right module action on V1^(x)k, whose tensors are degree-k
+polynomials over the cotangent alphabet.
 
-The pairing is graded by weight, and this module is the one place that
-states the grading: u_ij has weight e_i - e_j (``u_weight``), an E/F letter
-the weight of its one matrix entry, a K power 0, and words and states the sum
-over their letters.  A state pairs to zero with every word of another weight,
-and ``functional_weights`` checks that each member's states share one weight.
-A cotangent letter has the weight of its slot dual (``letter_weights``), so
-e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the dual
-pairs of a word's weight and ``coset`` only the slot dual of that weight.
-``_pair_cache`` memoises states and ``_pair2_cache`` products of two
-members.  ``omega_by_expansion`` checks omega independently: it walks each
-word's intermediate index tuples from left to right, stepping the slot
-duals' single states letter by letter, reads no weight and caches nothing.
+The pairing is graded twice, and this module is the one place that states
+the gradings.  By weight: u_ij has weight e_i - e_j (``u_weight``), an E/F
+letter that of its one matrix entry, a K power 0, and words and states the
+sum over their letters.  A state pairs to zero with every word of another
+weight, ``functional_weights`` checks that each member's states share one
+weight, and a cotangent letter has the weight of its slot dual
+(``letter_weights``), so e_a1, the coset of u21, has weight e2 - e1.
+``omega`` tries only the dual pairs of a word's weight and ``coset`` only the
+slot dual of that weight.  By distance, the same way from |i - j| for u_ij
+(``u_distance``): K is diagonal, so a state pairs to zero with every word
+farther from the diagonal, where ``_pair_word`` stops.  ``_pair_cache``
+memoises states and ``_pair2_cache`` products of two members.
+``omega_by_expansion`` checks omega independently: it walks each word's index
+tuples, stepping the slot duals' single states, reads no grading and keeps
+nothing between calls.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from types import MappingProxyType
 
 from . import rootdata
 from .ncpoly import Alphabet, NCPolynomial
-from .scalar import Coefficient, ONE, ZERO
+from .scalar import Coefficient, LaurentPoly, ONE, ZERO
 
 U_ALPHABET = Alphabet(tuple("u%d%d" % (i, j) for i in (1, 2, 3) for j in (1, 2, 3)))
+_U_DISTANCES = tuple(abs(i - j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 # the cotangent alphabet, one letter per basis slot in the rank order of the
 # exterior algebra: a degree-k polynomial in it is a tensor of V1^(x)k
@@ -70,9 +76,15 @@ def u_weight(word):
     return tuple(weight)
 
 
+def u_distance(word):
+    """Distance of a u-word from the diagonal: the sum of |i - j| over its letters u_ij."""
+    return sum(map(_U_DISTANCES.__getitem__, word))
+
+
 # -- the generators of U_q(sl_3) ------------------------------------------------
 
 _Q = Coefficient.q_power
+_L_ZERO, _L_ONE = LaurentPoly(), LaurentPoly({0: 1})  # every zero pairing value is _L_ZERO
 
 # Each generator's matrix in the vector representation, row -> (column,
 # value): a row holds at most one nonzero entry, and the generator pairs with
@@ -110,47 +122,60 @@ def _letter_weight(letter):
     return u_weight(u_word((row, col)))
 
 
+@lru_cache(maxsize=None)
+def _state_distance(state):
+    """The distance of a state: the sum of |r - c| over its E/F letters' entries (r, c)."""
+    return sum(abs(r - c) for letter in state[:-2] for r, (c, _) in GENERATORS[letter].items())
+
+
+def _q_exponent(value):
+    """The exponent e of a matrix entry q^e; any other entry raises ValueError."""
+    if value != Coefficient.q_power(exp := min(value.num.terms, default=0)):
+        raise ValueError("the matrix entry %s is not a power of q" % value.render())
+    return exp
+
+
+@lru_cache(maxsize=None)
 def _entry(factor, row):
-    """The nonzero entry (column, value) in the given row of a factor's
-    matrix, or None: a letter's one entry, or the diagonal of K1^a K2^b."""
+    """The nonzero entry (column, e), meaning q^e, in the given row of a
+    factor's matrix, or None: a letter's one entry, or the diagonal of K1^a K2^b."""
     if isinstance(factor, str):
-        return GENERATORS[factor].get(row)
-    value = ONE
-    for name, power in zip(("K1", "K2"), factor):
-        diagonal = GENERATORS[name][row][1]
-        for _ in range(abs(power)):
-            value = value * diagonal if power > 0 else value / diagonal
-    return row, value
+        entry = GENERATORS[factor].get(row)
+        return entry and (entry[0], _q_exponent(entry[1]))
+    return row, sum(power * _q_exponent(GENERATORS[name][row][1])
+                    for name, power in zip(("K1", "K2"), factor))
 
 
 def _normal_form(factors):
-    """A generator word as (coefficient, state), a state being its E/F
-    letters followed by the exponents a, b of K1^a K2^b.  Every K power moves
-    right past each E/F letter X after it: K X = (k_r / k_c) X K, for X's one
-    matrix entry (r, c) and k the diagonal of K."""
-    letters, k, scale = [], (0, 0), ONE
+    """A generator word as q^e times a state, (e, state): its E/F letters, then
+    K1^a K2^b as (a, b).  K moves right past each E/F letter X after it by
+    K X = (k_r / k_c) X K, for X's one matrix entry (r, c) and K's diagonal k."""
+    letters, k, exp = [], (0, 0), 0
     for factor in factors:
         if isinstance(factor, str):
             if k != (0, 0):
                 (row, (col, _)), = GENERATORS[factor].items()
-                scale = scale * _entry(k, row)[1] / _entry(k, col)[1]
+                exp += _entry(k, row)[1] - _entry(k, col)[1]
             letters.append(factor)
         else:
             k = rootdata.add(k, factor)
-    return scale, tuple(letters) + k
+    return exp, tuple(letters) + k
 
 
 @lru_cache(maxsize=None)
 def _member_states(*names):
     """The product of the named members as a sum of states, (state,
-    coefficient) with equal states added: the normal forms of the
+    LaurentPoly coefficient) with equal states added: the normal forms of the
     concatenated words of every choice of one term per member."""
     summed = {}
     for terms in product(*(MEMBERS[name] for name in names)):
+        if any(c.den.terms != {0: 1} for c, _ in terms):
+            raise ValueError("a coefficient of %s is not in Q[q, q^-1]" % " ".join(names))
         tokens = " ".join(word for _, word in terms).split()
-        scale, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in tokens])
-        summed[state] = summed.get(state, ZERO) + prod((c for c, _ in terms), start=scale)
-    return tuple((state, c) for state, c in summed.items() if not c.is_zero())
+        exp, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in tokens])
+        value = prod((c.num for c, _ in terms), start=_L_ONE.shift(exp))
+        summed[state] = summed.get(state, _L_ZERO) + value
+    return tuple((state, c) for state, c in summed.items() if c.terms)
 
 
 # -- weight grading -----------------------------------------------------------
@@ -213,8 +238,8 @@ _pair2_cache = {}
 
 @lru_cache(maxsize=None)
 def _steps(state, letter):
-    """The nonzero (right state, factor) terms that pairing the state with
-    the letter u_ij leaves on the rest of a word.
+    """The (right state, e) terms, each the factor q^e, that pairing the state
+    with the letter u_ij leaves on the rest of a word; right states may repeat.
 
     A K power goes to both legs.  Otherwise Delta(X s) = Delta(X) Delta(s)
     for the first letter X = X_i and the state s of the rest: Delta(X) puts
@@ -225,41 +250,51 @@ def _steps(state, letter):
         return ((state, _entry(state, row + 1)[1]),) if row == col else ()
     first, rest = state[0], state[1:]
     m, n = COPRODUCT_K_POWERS[first[0]]
-    terms = {}
+    terms = []
     for left, right in ((first, _k_power(first, m)), (_k_power(first, n), first)):
         entry = _entry(left, row + 1)
-        if entry is not None:
-            middle, value = entry
-            for target, factor in _steps(rest, u_index(middle, col + 1)):
-                scale, moved = _normal_form([right, *target[:-2], target[-2:]])
-                terms[moved] = terms.get(moved, ZERO) + value * factor * scale
-    # a factor 1 is the one ONE, which the pairings skip multiplying by
-    return tuple((target, ONE if factor == ONE else factor)
-                 for target, factor in terms.items() if not factor.is_zero())
+        if entry:
+            middle, exp = entry
+            for target, step in _steps(rest, u_index(middle, col + 1)):
+                shift, moved = _normal_form([right, *target[:-2], target[-2:]])
+                terms.append((moved, exp + step + shift))
+    return tuple(terms)
 
 
-def _pair_word(state, word) -> Coefficient:
+def _pair_word(state, word) -> LaurentPoly:
     key = (state, word)
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
     if not word:
         # the counit: 1 on a K power, 0 on an E/F letter
-        value = ZERO if len(state) > 2 else ONE
+        value = _L_ZERO if len(state) > 2 else _L_ONE
+    elif u_distance(word) > _state_distance(state):
+        value = _L_ZERO
     else:
-        rest = word[1:]
-        value = ZERO
-        for right, factor in _steps(state, word[0]):
+        rest, value = word[1:], _L_ZERO
+        for right, step in _steps(state, word[0]):
             tail = _pair_word(right, rest)
-            if not tail.is_zero():
-                value = value + (tail if factor is ONE else factor * tail)
+            if tail.terms:
+                tail = tail.shift(step) if step else tail
+                value = value + tail if value.terms else tail
     _pair_cache[key] = value
     return value
 
 
+def _pair_states(states, word) -> Coefficient:
+    """Pairing of a sum of (state, LaurentPoly) terms against a u-word."""
+    total = _L_ZERO
+    for state, c in states:
+        value = _pair_word(state, word)
+        if value.terms:
+            total = total + c * value
+    return Coefficient(total) if total.terms else ZERO
+
+
 def pair(name, word) -> Coefficient:
     """Pairing of the named member against a u-word."""
-    return sum((c * _pair_word(state, word) for state, c in _member_states(name)), ZERO)
+    return _pair_states(_member_states(name), word)
 
 
 def _pair2_word(x, y, word) -> Coefficient:
@@ -267,8 +302,7 @@ def _pair2_word(x, y, word) -> Coefficient:
     key = (x, y, word)
     value = _pair2_cache.get(key)
     if value is None:
-        value = _pair2_cache[key] = sum(
-            (c * _pair_word(state, word) for state, c in _member_states(x, y)), ZERO)
+        value = _pair2_cache[key] = _pair_states(_member_states(x, y), word)
     return value
 
 
@@ -299,12 +333,8 @@ def coset(poly: NCPolynomial) -> NCPolynomial:
 
 
 def counit(poly: NCPolynomial) -> Coefficient:
-    """Counit: the product of Kronecker deltas over each word's letters."""
-    total = ZERO
-    for word, coeff in poly.terms.items():
-        if all(divmod(letter, 3)[0] == divmod(letter, 3)[1] for letter in word):
-            total = total + coeff
-    return total
+    """Counit: the product of Kronecker deltas over a word's letters, 1 exactly at distance 0."""
+    return sum((c for word, c in poly.terms.items() if not u_distance(word)), ZERO)
 
 
 def plus_part(poly: NCPolynomial) -> NCPolynomial:
@@ -329,15 +359,17 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 
-def _advance(legs, letter):
-    """A leg's map (slot, state) -> Coefficient, moved one letter on: each
-    state steps through the letter u_letter."""
-    out = {}
-    for (slot, state), value in legs.items():
-        for right, factor in _steps(state, letter):
-            key = (slot, right)
-            out[key] = out.get(key, ZERO) + (value if factor is ONE else factor * value)
-    return {key: value for key, value in out.items() if not value.is_zero()}
+def _advance(legs, path):
+    """The leg through the u-letters of path, (slot, state) -> LaurentPoly, memoised in
+    legs by path from the start at (): the leg at path[:-1] stepped through path[-1]."""
+    if path not in legs:
+        out = {}
+        for (slot, state), value in _advance(legs, path[:-1]).items():
+            for right, step in _steps(state, path[-1]):
+                key, moved = (slot, right), value.shift(step) if step else value
+                out[key] = out[key] + moved if key in out else moved
+        legs[path] = {key: value for key, value in out.items() if value.terms}
+    return legs[path]
 
 
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
@@ -348,19 +380,21 @@ def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first walk
     per word chooses a_1, ..., a_k from left to right; each leg carries the
     states that the slot duals' states step to on its prefix, keyed by slot,
-    until either leg has none left.  At a full index tuple the K-power states
-    give each slot's value, as the counit is 1 on a K power and 0 on an E/F
-    letter, and the product of the two legs' values is the coefficient on
-    (r, c)."""
+    until either leg has none left; the call memoises each leg by the letters
+    it stepped through, as both start from one map.  At a full index tuple
+    the K-power states give each slot's value (the counit is 1 on a K power,
+    0 on an E/F letter), and the product of the legs' values is the (r, c) entry."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
     terms = {}
+    legs = {(): {(slot, state): c for slot, dual in enumerate(SLOT_DUALS)
+                 for state, c in _member_states(dual)}}
 
-    def slot_values(legs):
+    def slot_values(path):
         values = {}
-        for (slot, state), value in legs.items():
+        for (slot, state), value in _advance(legs, path).items():
             if len(state) == 2:
-                values[slot] = values.get(slot, ZERO) + value
+                values[slot] = values.get(slot, _L_ZERO) + value
         return values
 
     def walk(word, coeff, left, right):
@@ -368,20 +402,16 @@ def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
             rv = slot_values(right)
             for r, x in slot_values(left).items():
                 for c, y in rv.items():
-                    terms[r, c] = terms.get((r, c), ZERO) + coeff * (x * y)
+                    terms[r, c] = terms.get((r, c), ZERO) + coeff * Coefficient(x * y)
             return
         row, col = divmod(word[0], 3)
         for a in range(3):
-            left_a = _advance(left, 3 * row + a)
-            if left_a:
-                right_a = _advance(right, 3 * a + col)
-                if right_a:
-                    walk(word[1:], coeff, left_a, right_a)
+            left_a, right_a = left + (3 * row + a,), right + (3 * a + col,)
+            if _advance(legs, left_a) and _advance(legs, right_a):
+                walk(word[1:], coeff, left_a, right_a)
 
-    start = {(slot, state): c for slot, dual in enumerate(SLOT_DUALS)
-             for state, c in _member_states(dual)}
     for word, coeff in poly.terms.items():
-        walk(word, coeff, start, start)
+        walk(word, coeff, (), ())
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from qflag3 import qpair
 from qflag3.ncpoly import NCPolynomial
-from qflag3.scalar import ONE, ZERO
+from qflag3.scalar import Coefficient, ONE, ZERO
 
 
 @contextlib.contextmanager
@@ -64,7 +64,7 @@ def _antipode_axiom_defects(states):
             for state in states:
                 value = ZERO
                 for word, coeff in poly.terms.items():
-                    value = value + coeff * qpair._pair_word(state, word)
+                    value = value + coeff * Coefficient(qpair._pair_word(state, word))
                 if value != (ONE if i == j and len(state) == 2 else ZERO):
                     defects.append((i, j, side, state))
     return defects

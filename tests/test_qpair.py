@@ -1,12 +1,13 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag3 import flagext, geometry, qpair, rootdata
 from qflag3.ncpoly import NCPolynomial
-from qflag3.qpair import (COTANGENT_ALPHABET, MEMBERS, U_ALPHABET, _pair2_word,
+from qflag3.qpair import (COTANGENT_ALPHABET, GENERATORS, MEMBERS, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word, coset,
                           cotangent, counit, flag_generator, functional_weights,
                           omega, omega_by_expansion, omega_render, pair, plus_part,
@@ -44,8 +45,8 @@ def generator_polynomial(*terms):
         for token in word.split():
             name, _, power = token.partition("^")
             factors.append(qpair._k_power(name, int(power or 1)) if name[0] == "K" else name)
-        scale, state = qpair._normal_form(factors)
-        summed[state] = summed.get(state, ZERO) + coeff * scale
+        exp, state = qpair._normal_form(factors)
+        summed[state] = summed.get(state, ZERO) + coeff * Q(exp)
     return tuple((state, c) for state, c in summed.items() if not c.is_zero())
 
 
@@ -167,6 +168,98 @@ def test_pair_word_vanishes_off_its_weight(reachable_states):
     assert nonzero > 0
 
 
+def on_basis(name, power, col):
+    """name^power on the basis vector e_col of V, as (row, value) for
+    value * e_row, or None for zero: a matrix sends e_c to the entries (r, c)
+    of its column c, and a negative power divides by a diagonal entry."""
+    value = ONE
+    for _ in range(abs(power)):
+        entries = [(row, entry) for row, (c, entry) in GENERATORS[name].items() if c == col]
+        if not entries:
+            return None
+        (col, entry), = entries
+        value = value * entry if power > 0 else value / entry
+    return col, value
+
+
+def on_tensor(factors, vector):
+    """A product of one factor (name, power) per tensor slot on a vector of
+    V^(x)k, a map basis tuple -> Coefficient."""
+    out = {}
+    for basis, coeff in vector.items():
+        moved = [on_basis(name, power, col) for (name, power), col in zip(factors, basis)]
+        if None not in moved:
+            key = tuple(row for row, _ in moved)
+            out[key] = out.get(key, ZERO) + prod((value for _, value in moved), start=coeff)
+    return out
+
+
+def reference_pairing(state, word):
+    """The pairing of a state with u_(i1 j1)...u_(ik jk), as the (I, J) entry
+    of the state's matrix on V^(x)k: the k-fold coproducts of K1^a K2^b and
+    then of the E/F letters from the last, applied to e_J in Coefficient
+    arithmetic.  Delta^(k)(X_i) is the sum over p of K_i^n in the slots
+    before p, X_i in slot p and K_i^m after it, and Delta^(k)(K) = K^(x)k."""
+    k = len(word)
+    vector = {tuple(letter % 3 + 1 for letter in word): ONE}
+    for name, power in zip(("K1", "K2"), state[-2:]):
+        vector = on_tensor([(name, power)] * k, vector)
+    for letter in reversed(state[:-2]):
+        m, n = qpair.COPRODUCT_K_POWERS[letter[0]]
+        k_name, summed = "K" + letter[1], {}
+        for p in range(k):
+            factors = [(k_name, n)] * p + [(letter, 1)] + [(k_name, m)] * (k - p - 1)
+            for basis, value in on_tensor(factors, vector).items():
+                summed[basis] = summed.get(basis, ZERO) + value
+        vector = summed
+    return vector.get(tuple(letter // 3 + 1 for letter in word), ZERO)
+
+
+def test_pair_word_is_the_matrix_entry_on_the_tensor_power(fresh_pair_cache, reachable_states):
+    # the q-exponent steps and the distance test against the matrices
+    # themselves, on every state the members reach and every u-word of length
+    # <= 3; a state pairs to zero with every word farther from the diagonal
+    words = [word for k in range(4) for word in itertools.product(range(9), repeat=k)]
+    assert (len(reachable_states), len(words)) == (15, 820)
+    cut = 0
+    for state in reachable_states:
+        distance = sum(abs(row - col) for letter in state[:-2]
+                       for row, (col, _) in GENERATORS[letter].items())
+        for word in words:
+            expected = reference_pairing(state, word)
+            assert Coefficient(_pair_word(state, word)) == expected, (state, word)
+            if qpair.u_distance(word) > distance:
+                assert expected.is_zero(), (state, word)
+                cut += 1
+    assert cut > 0
+
+
+@pytest.fixture
+def fresh_engine():
+    # a test that patches the generators or the members empties every cache
+    # the patch reaches, before and after; it may call the clearing itself
+    def clear():
+        qpair._pair_cache.clear()
+        qpair._pair2_cache.clear()
+        for cached in (qpair._entry, qpair._steps, qpair._member_states):
+            cached.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+def test_a_k_diagonal_entry_off_the_powers_of_q_is_rejected(fresh_engine, monkeypatch):
+    monkeypatch.setitem(GENERATORS, "K1", {1: (1, Q(-1)), 2: (2, Q(1) + ONE), 3: (3, ONE)})
+    with pytest.raises(ValueError, match=r"^the matrix entry q \+ 1 is not a power of q$"):
+        pair("K1", u_word((2, 2)))
+
+
+def test_a_member_coefficient_off_the_laurent_ring_is_rejected(fresh_engine, monkeypatch):
+    monkeypatch.setitem(MEMBERS, "E_a2", ((ONE / (ONE + Q(1)), "E2"),))
+    with pytest.raises(ValueError, match=r"^a coefficient of E_a2 is not in Q\[q, q\^-1\]$"):
+        pair("E_a2", u_word((3, 2)))
+
+
 def test_pair_examples():
     assert pair("F_a12", u_word((1, 3))) == Q(-2)
     assert pair("E_a1", u_word((2, 1), (1, 1))) == Q(-1)
@@ -206,8 +299,8 @@ def test_coassociativity_on_random_words(reachable_states):
         for state in reachable_states:
             split = ZERO
             for left, right, scale in coproduct(state):
-                split = split + scale * _pair_word(left, w1) * _pair_word(right, w2)
-            assert _pair_word(state, w1 + w2) == split, (state, w1, w2)
+                split = split + scale * Coefficient(_pair_word(left, w1) * _pair_word(right, w2))
+            assert Coefficient(_pair_word(state, w1 + w2)) == split, (state, w1, w2)
 
 
 def test_generators_satisfy_the_relations_of_u_q_sl3(fresh_pair_cache):
@@ -234,7 +327,7 @@ def test_generators_satisfy_the_relations_of_u_q_sl3(fresh_pair_cache):
         for word in words:
             value = ZERO
             for state, coeff in relation:
-                value = value + coeff * _pair_word(state, word)
+                value = value + coeff * Coefficient(_pair_word(state, word))
             assert value.is_zero(), (name, word)
 
 
@@ -267,7 +360,7 @@ def frt_violations(q, states):
                 for state in states:
                     value = ZERO
                     for word, coeff in relation.items():
-                        value = value + coeff * _pair_word(state, a + word + b)
+                        value = value + coeff * Coefficient(_pair_word(state, a + word + b))
                     if not value.is_zero():
                         yield state, a, relation, b
 
@@ -298,7 +391,7 @@ def test_frt_relations_pair_to_zero_in_random_contexts(fresh_pair_cache, reachab
         for state in states:
             value = ZERO
             for word, coeff in relation.items():
-                value = value + coeff * _pair_word(state, a + word + b)
+                value = value + coeff * Coefficient(_pair_word(state, a + word + b))
             assert value.is_zero(), (state, a, relation, b)
 
     if clean:
@@ -445,6 +538,21 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     sizes = [len(cache) for cache in caches]
     assert [omega_by_expansion(poly) for poly in samples] == expected
     assert [len(cache) for cache in caches] == sizes
+
+
+def test_omega_by_expansion_keeps_no_legs_between_calls(fresh_engine, monkeypatch):
+    # two calls in a row, on generators whose words share their leg
+    # prefixes, give what fresh calls give: after the first call K1 changes,
+    # so a leg kept from it would give the second the bundled values
+    samples = omega_samples()
+    first, second = samples[0], samples[1]
+    bundled = omega(second)
+    assert omega_by_expansion(first) == omega(first)
+    monkeypatch.setitem(GENERATORS, "K1", {1: (1, Q(1)), 2: (2, Q(-1)), 3: (3, ONE)})
+    fresh_engine()
+    expected = omega(second)
+    assert expected != bundled
+    assert omega_by_expansion(second) == expected
 
 
 def omega_over_index_tuples(poly):
