@@ -15,18 +15,16 @@ them.  From it come the coset map onto V1, the two-fold coproduct map omega
 and the right module action on V1^(x)k, whose tensors are degree-k
 polynomials over the cotangent alphabet.
 
-The pairing is graded twice, and this module is the one place that states
-the gradings.  By weight: u_ij has weight e_i - e_j (``u_weight``), an E/F
-letter that of its one matrix entry, a K power 0, and words and states the
-sum over their letters.  A state pairs to zero with every word of another
-weight, ``functional_weights`` checks that each member's states share one
-weight, and a cotangent letter has the weight of its slot dual
-(``letter_weights``), so e_a1, the coset of u21, has weight e2 - e1.
-``omega`` tries only the dual pairs of a word's weight and ``coset`` only the
-slot dual of that weight.  By distance, the same way from |i - j| for u_ij
-(``u_distance``): K is diagonal, so a state pairs to zero with every word
-farther from the diagonal, where ``_pair_word`` stops.  ``_pair_cache``
-memoises states and ``_pair2_cache`` products of two members.
+The pairing is weight-graded, and this module is the one place that states
+the grading: u_ij has weight e_i - e_j (``u_weight``), an E/F letter that of
+its one matrix entry, a K power 0, and words and states the sum over their
+letters.  A state pairs to zero with every word of another weight,
+``functional_weights`` checks that each member's states share one weight,
+and a cotangent letter has the weight of its slot dual (``letter_weights``),
+so e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the
+dual pairs of a word's weight and ``coset`` only the slot dual of that
+weight; no other rule prunes.  ``_pair2_cache`` memoises the pairings of
+products of two members, and ``_pair_word`` recomputes its values.
 ``omega_by_expansion`` checks omega independently: it walks each word's index
 tuples, stepping the slot duals' single states, reads no grading and keeps
 nothing between calls.
@@ -84,7 +82,7 @@ def u_distance(word):
 # -- the generators of U_q(sl_3) ------------------------------------------------
 
 _Q = Coefficient.q_power
-_L_ZERO, _L_ONE = LaurentPoly(), LaurentPoly({0: 1})  # every zero pairing value is _L_ZERO
+_L_ZERO, _L_ONE = LaurentPoly(), LaurentPoly({0: 1})
 
 # Each generator's matrix in the vector representation, row -> (column,
 # value): a row holds at most one nonzero entry, and the generator pairs with
@@ -115,17 +113,10 @@ def _k_power(letter, power):
     return (power, 0) if letter[1] == "1" else (0, power)
 
 
-@lru_cache(maxsize=None)
 def _letter_weight(letter):
     """The weight of an E/F letter: that of u_rc, for its one matrix entry (r, c)."""
     (row, (col, _)), = GENERATORS[letter].items()
     return u_weight(u_word((row, col)))
-
-
-@lru_cache(maxsize=None)
-def _state_distance(state):
-    """The distance of a state: the sum of |r - c| over its E/F letters' entries (r, c)."""
-    return sum(abs(r - c) for letter in state[:-2] for r, (c, _) in GENERATORS[letter].items())
 
 
 def _q_exponent(value):
@@ -232,7 +223,6 @@ def dual_pairs_by_weight():
 
 # -- pairing ------------------------------------------------------------------
 
-_pair_cache = {}
 _pair2_cache = {}
 
 
@@ -262,23 +252,15 @@ def _steps(state, letter):
 
 
 def _pair_word(state, word) -> LaurentPoly:
-    key = (state, word)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
     if not word:
         # the counit: 1 on a K power, 0 on an E/F letter
-        value = _L_ZERO if len(state) > 2 else _L_ONE
-    elif u_distance(word) > _state_distance(state):
-        value = _L_ZERO
-    else:
-        rest, value = word[1:], _L_ZERO
-        for right, step in _steps(state, word[0]):
-            tail = _pair_word(right, rest)
-            if tail.terms:
-                tail = tail.shift(step) if step else tail
-                value = value + tail if value.terms else tail
-    _pair_cache[key] = value
+        return _L_ZERO if len(state) > 2 else _L_ONE
+    rest, value = word[1:], _L_ZERO
+    for right, step in _steps(state, word[0]):
+        tail = _pair_word(right, rest)
+        if tail.terms:
+            tail = tail.shift(step) if step else tail
+            value = value + tail if value.terms else tail
     return value
 
 
@@ -447,7 +429,7 @@ def _letter_action():
                      for source, (rep, v) in representatives.items()}
                     for letter in range(9))
     for word in (w for k in (1, 2) for w in product(range(9), repeat=k)):
-        counit_one = all(letter in (0, 4, 8) for letter in word)
+        counit_one = not u_distance(word)
         base = coset_of(word)
         for letter, action in enumerate(actions):
             # x = w - eps(w): coset(x) = coset(w), coset(x u) = coset(w u) - eps(w) coset(u)

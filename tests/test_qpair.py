@@ -57,13 +57,6 @@ def state_weight(state):
     return weight
 
 
-@pytest.fixture
-def fresh_pair_cache():
-    # a test that pairs thousands of words it alone reads leaves no entries
-    yield
-    qpair._pair_cache.clear()
-
-
 def test_eval_matrices():
     assert entries("F_a1") == {(1, 2): Q(-1)}
     assert entries("F_a2") == {(2, 3): Q(-1)}
@@ -215,10 +208,10 @@ def reference_pairing(state, word):
     return vector.get(tuple(letter // 3 + 1 for letter in word), ZERO)
 
 
-def test_pair_word_is_the_matrix_entry_on_the_tensor_power(fresh_pair_cache, reachable_states):
-    # the q-exponent steps and the distance test against the matrices
-    # themselves, on every state the members reach and every u-word of length
-    # <= 3; a state pairs to zero with every word farther from the diagonal
+def test_pair_word_is_the_matrix_entry_on_the_tensor_power(reachable_states):
+    # the q-exponent steps against the matrices themselves, on every state
+    # the members reach and every u-word of length <= 3; as a property of the
+    # pairing, a state pairs to zero with every word farther from the diagonal
     words = [word for k in range(4) for word in itertools.product(range(9), repeat=k)]
     assert (len(reachable_states), len(words)) == (15, 820)
     cut = 0
@@ -239,7 +232,6 @@ def fresh_engine():
     # a test that patches the generators or the members empties every cache
     # the patch reaches, before and after; it may call the clearing itself
     def clear():
-        qpair._pair_cache.clear()
         qpair._pair2_cache.clear()
         for cached in (qpair._entry, qpair._steps, qpair._member_states):
             cached.cache_clear()
@@ -303,7 +295,7 @@ def test_coassociativity_on_random_words(reachable_states):
             assert Coefficient(_pair_word(state, w1 + w2)) == split, (state, w1, w2)
 
 
-def test_generators_satisfy_the_relations_of_u_q_sl3(fresh_pair_cache):
+def test_generators_satisfy_the_relations_of_u_q_sl3():
     # nu [E_i, F_j] = delta_ij (K_i - K_i^-1) and the four quantum Serre
     # relations pair to zero with every u-word of length <= 4
     relations = {}
@@ -365,7 +357,7 @@ def frt_violations(q, states):
                         yield state, a, relation, b
 
 
-def test_frt_relations_pair_to_zero(fresh_pair_cache, reachable_states):
+def test_frt_relations_pair_to_zero(reachable_states):
     # the pairing is well defined on O_q(SL_3): its quadratic relations pair
     # to zero with every state in context, for this convention of q and not
     # for the one with q^-1
@@ -377,8 +369,7 @@ _u_words = st.lists(st.integers(0, 8), max_size=3).map(tuple)
 
 
 @pytest.mark.parametrize("q, clean", [(Q(1), True), (Q(-1), False)], ids=["q", "q^-1"])
-def test_frt_relations_pair_to_zero_in_random_contexts(fresh_pair_cache, reachable_states,
-                                                      q, clean):
+def test_frt_relations_pair_to_zero_in_random_contexts(reachable_states, q, clean):
     # every FRT relation, between left and right contexts of up to three
     # u-letters, pairs to zero with every state for the q convention; the
     # q^-1 convention is caught
@@ -534,10 +525,9 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     member_states = qpair._member_states
     monkeypatch.setattr(qpair, "_member_states",
                         lambda *names: member_states(*names) if len(names) == 1 else forbidden())
-    caches = (qpair._pair_cache, qpair._pair2_cache)
-    sizes = [len(cache) for cache in caches]
+    size = len(qpair._pair2_cache)
     assert [omega_by_expansion(poly) for poly in samples] == expected
-    assert [len(cache) for cache in caches] == sizes
+    assert len(qpair._pair2_cache) == size
 
 
 def test_omega_by_expansion_keeps_no_legs_between_calls(fresh_engine, monkeypatch):
