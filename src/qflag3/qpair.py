@@ -8,23 +8,33 @@ F_i (x) 1 + K_i^-1 (x) F_i and Delta(K) = K (x) K carry the pairing to words.
 A member, a product of members and any polynomial in the generators is a sum
 of states: generator words in normal form, the E/F letters followed by
 K1^a K2^b, where K moves right past a letter X by the ratio of K's diagonal
-entries at X's one matrix entry.  One recursion, ``_pair_word``, pairs a
-state with a word in steps of q-exponents, so its values lie in Z[q, q^-1]
-(LaurentPoly); a Coefficient is built only where member coefficients meet
-them.  From it come the coset map onto V1, the two-fold coproduct map omega
-and the right module action on V1^(x)k, whose tensors are degree-k
-polynomials over the cotangent alphabet.
+entries at X's one matrix entry.  A state steps through a word's letters,
+each step the single factor q^e, and ``_pair_word`` counts the paths that
+end on a K power by the sum of their steps, so its values lie in
+Z[q, q^-1] (LaurentPoly); a Coefficient is built only where member
+coefficients meet them.  From it come the coset map onto V1, the two-fold
+coproduct map omega and the right module action on V1^(x)k, whose tensors
+are degree-k polynomials over the cotangent alphabet.
 
-The pairing is weight-graded, and this module is the one place that states
-the grading: u_ij has weight e_i - e_j (``u_weight``), an E/F letter that of
-its one matrix entry, a K power 0, and words and states the sum over their
-letters.  A state pairs to zero with every word of another weight,
-``functional_weights`` checks that each member's states share one weight,
+The pairing is graded twice, and this module is the one place that states
+the gradings, both read off the generator matrices.  By weight: u_ij has
+weight e_i - e_j (``u_weight``), an E/F letter that of its one matrix
+entry, a K power 0, and words and states the sum over their letters; a
+state pairs to zero with every word of another weight.  By distance: u_ij
+has distance |i - j| (``u_distance``), an E/F letter that of its one
+matrix entry, which is 1, so a state's distance is its letter count m; each
+letter moves one tensor slot by its distance, so a state pairs to zero with
+every word of distance above m.  ``functional_weights`` and
+``functional_distances`` check that each member's states share one grade,
 and a cotangent letter has the weight of its slot dual (``letter_weights``),
 so e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the
-dual pairs of a word's weight and ``coset`` only the slot dual of that
-weight; no other rule prunes.  ``_pair2_cache`` memoises the pairings of
-products of two members, and ``_pair_word`` recomputes its values.
+dual pairs (x, y) of a word's weight with m(x) + m(y) at least the word's
+distance, and ``coset`` only the slot dual of its weight with m at least
+that distance.  Both tests run once per word and dual, before any
+pairing: the recursion prunes nothing, because a test at each of its nodes
+costs more than the dead paths it would cut.  ``_pair2_cache`` memoises
+the pairings of products of two members, and ``_pair_word`` recomputes its
+values.
 ``omega_by_expansion`` checks omega independently: it walks each word's index
 tuples, stepping the slot duals' single states, reads no grading and keeps
 nothing between calls.
@@ -119,6 +129,14 @@ def _letter_weight(letter):
     return u_weight(u_word((row, col)))
 
 
+def _letter_distance(letter):
+    """The distance of an E/F letter: that of u_rc, for its one matrix entry (r, c).
+    The coproduct puts the letter in one tensor slot and K powers, which are
+    diagonal, in the others, so the letter moves one slot's index this far."""
+    (row, (col, _)), = GENERATORS[letter].items()
+    return u_distance(u_word((row, col)))
+
+
 def _q_exponent(value):
     """The exponent e of a matrix entry q^e; any other entry raises ValueError."""
     if value != Coefficient.q_power(exp := min(value.num.terms, default=0)):
@@ -169,21 +187,36 @@ def _member_states(*names):
     return tuple((state, c) for state, c in summed.items() if c.terms)
 
 
-# -- weight grading -----------------------------------------------------------
+# -- gradings -----------------------------------------------------------------
+
+
+def _member_grades(grade, kind):
+    """Each member's grade, the one value of grade(state) over its states.
+    Raises AssertionError unless all terms of a member have one grade."""
+    grades = {}
+    for name in MEMBERS:
+        found = {grade(state) for state, _ in _member_states(name)}
+        if len(found) != 1:
+            raise AssertionError("%s has no single %s: %s" % (name, kind, sorted(found)))
+        grades[name] = found.pop()
+    return grades
 
 
 @lru_cache(maxsize=None)
 def functional_weights():
     """The weight of each member, the sum over each state's E/F letters.
     Raises AssertionError unless all terms of a member have one weight."""
-    weights = {}
-    for name in MEMBERS:
-        found = {reduce(rootdata.add, map(_letter_weight, state[:-2]), (0, 0, 0))
-                 for state, _ in _member_states(name)}
-        if len(found) != 1:
-            raise AssertionError("%s has no single weight: %s" % (name, sorted(found)))
-        weights[name] = found.pop()
-    return weights
+    return _member_grades(
+        lambda state: reduce(rootdata.add, map(_letter_weight, state[:-2]), (0, 0, 0)), "weight")
+
+
+@lru_cache(maxsize=None)
+def functional_distances():
+    """The distance of each member, the sum over each state's E/F letters: 1
+    for every letter, so the letter count m, and the member pairs to zero
+    with every word of distance above m.  Raises AssertionError unless all
+    terms of a member have one distance."""
+    return _member_grades(lambda state: sum(map(_letter_distance, state[:-2])), "distance")
 
 
 @lru_cache(maxsize=None)
@@ -252,16 +285,25 @@ def _steps(state, letter):
 
 
 def _pair_word(state, word) -> LaurentPoly:
-    if not word:
-        # the counit: 1 on a K power, 0 on an E/F letter
-        return _L_ZERO if len(state) > 2 else _L_ONE
-    rest, value = word[1:], _L_ZERO
-    for right, step in _steps(state, word[0]):
-        tail = _pair_word(right, rest)
-        if tail.terms:
-            tail = tail.shift(step) if step else tail
-            value = value + tail if value.terms else tail
-    return value
+    """Pairing of a state with a u-word: the sum of q^(e_1 + ... + e_k) over
+    the paths of steps through the word's letters that end on a K power (the
+    counit is 1 on a K power, 0 on an E/F letter).  Each step is the single
+    factor q^e, so the paths are counted, {exponent: count}, and one
+    LaurentPoly is built from the counts."""
+    counts = {}
+    _count_paths(state, word, 0, counts)
+    return LaurentPoly(counts)
+
+
+def _count_paths(state, word, exp, counts):
+    """Add 1 at exp plus the path's steps for each path of the state through
+    the word that ends on a K power."""
+    if word:
+        rest = word[1:]
+        for right, step in _steps(state, word[0]):
+            _count_paths(right, rest, exp + step, counts)
+    elif len(state) == 2:
+        counts[exp] = counts.get(exp, 0) + 1
 
 
 def _pair_states(states, word) -> Coefficient:
@@ -302,14 +344,14 @@ def coset(poly: NCPolynomial) -> NCPolynomial:
 
     The component on each basis vector is the pairing with its dual
     functional, so a word meets at most one slot: the one whose dual has the
-    word's weight.  Constants die automatically since all six vanish on 1.
+    word's weight, if the dual's letter count reaches the word's distance.
+    Constants die automatically since all six vanish on 1.
     """
-    by_weight = _slot_dual_by_weight()
+    by_weight, distances = _slot_dual_by_weight(), functional_distances()
     terms = {}
     for word, coeff in poly.terms.items():
-        match = by_weight.get(u_weight(word))
-        if match is not None:
-            slot, dual = match
+        slot, dual = by_weight.get(u_weight(word), (None, None))
+        if dual is not None and distances[dual] >= u_distance(word):
             terms[(slot,)] = terms.get((slot,), ZERO) + coeff * pair(dual, word)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
@@ -328,13 +370,17 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     """The degree-two coset map, a tensor of V1 (x) V1: its coefficient on
     the word (r, c) is the pairing of the product of the r-th and c-th dual
     functionals against the input (left tensor leg first).  Each word is
-    paired only with the dual pairs of its weight."""
+    paired only with the dual pairs (x, y) of its weight whose letter counts
+    m(x) + m(y) reach its distance."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input; subtract eps(y) first")
-    groups = dual_pairs_by_weight()
+    groups, distances = dual_pairs_by_weight(), functional_distances()
     terms = {}
     for word, coeff in poly.terms.items():
+        distance = u_distance(word)
         for key, x, y in groups.get(u_weight(word), ()):
+            if distances[x] + distances[y] < distance:
+                continue
             value = _pair2_word(x, y, word)
             if not value.is_zero():
                 terms[key] = terms.get(key, ZERO) + coeff * value

@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+Check = namedtuple("Check", "id citation expected actual passed")
 
 
-@dataclass
-class Check:
-    id: str
-    citation: str
-    expected: str
-    actual: str
-    passed: bool
-
-
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    """The checks of one suite, in the order they were added."""
+
+    __hash__ = None
+
+    def __init__(self, suite, checks=None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.checks) == (other.suite, other.checks)
+
+    def __repr__(self):
+        return "VerificationReport(suite=%r, checks=%r)" % (self.suite, self.checks)
 
     @property
     def overall(self) -> bool:
@@ -50,6 +54,7 @@ class VerificationReport:
         }
 
     def render_json(self) -> str:
+        import json
         return json.dumps(self.to_json_obj(), indent=2)
 
     def render_text(self) -> str:
@@ -70,6 +75,7 @@ def emit(reports, fmt: str) -> str:
     """Deterministic rendering of one or more reports."""
     reports = list(reports)
     if fmt == "json":
+        import json
         if len(reports) == 1:
             return reports[0].render_json()
         return json.dumps([r.to_json_obj() for r in reports], indent=2)

@@ -97,6 +97,28 @@ def test_functional_weights_reject_a_member_of_mixed_weight(monkeypatch):
         qpair._member_states.cache_clear()
 
 
+def test_functional_distances():
+    # each member's distance is the E/F letter count m of each of its states
+    distances = qpair.functional_distances()
+    assert distances == {"K1": 0, "K2": 0, "E_a1": 1, "E_a2": 1, "E_a12": 2,
+                         "F_a1": 1, "F_a2": 1, "F_a12": 2}
+    for name in MEMBERS:
+        for state, _ in qpair._member_states(name):
+            assert len(state) - 2 == distances[name]
+
+
+def test_functional_distances_reject_a_member_of_mixed_distance(monkeypatch):
+    # E1 and E1 F1 E1 share a weight but not a letter count
+    monkeypatch.setitem(MEMBERS, "E_a1", ((ONE, "E1"), (ONE, "E1 F1 E1")))
+    qpair._member_states.cache_clear()
+    try:
+        assert functional_weights.__wrapped__()["E_a1"] == (-1, 1, 0)
+        with pytest.raises(AssertionError, match="E_a1 has no single distance"):
+            qpair.functional_distances.__wrapped__()
+    finally:
+        qpair._member_states.cache_clear()
+
+
 def test_letter_weights():
     # f_gamma has weight gamma and e_gamma -gamma, for each positive root;
     # each letter has the weight of the u-letters whose coset lies on it
@@ -507,9 +529,49 @@ def test_omega_agrees_with_explicit_expansion():
         assert omega(poly) == omega_by_expansion(poly)
 
 
+def flag_products():
+    """The 324 products of two flag generators, counit-corrected."""
+    zs = all_flag_generators()
+    return [plus_part(zs[a] * zs[b]) for a in sorted(zs) for b in sorted(zs)]
+
+
+def test_omega_agrees_with_explicit_expansion_on_flag_products():
+    # the products whose omega image the relations are derived from
+    products = flag_products()
+    assert len(products) == 324
+    nonzero = 0
+    for poly in products:
+        value = omega(poly)
+        assert value == omega_by_expansion(poly), poly.render()
+        nonzero += not value.is_zero()
+    assert nonzero > 0
+
+
+def test_pairs_beyond_the_letter_count_vanish():
+    # the distance grading that omega and coset skip by: x*y pairs to zero with
+    # every word of distance above m(x) + m(y), on every word of length <= 4
+    # of the pair's weight and every word of the counit-corrected products
+    distances = qpair.functional_distances()
+    short = {}
+    for k in range(5):
+        for word in itertools.product(range(9), repeat=k):
+            short.setdefault(u_weight(word), []).append(word)
+    product_words = {word for poly in flag_products() for word in poly.terms}
+    pairs = [(x, y, weight) for weight, group in qpair.dual_pairs_by_weight().items()
+             for _, x, y in group]
+    assert len(pairs) == 36
+    skipped = 0
+    for x, y, weight in pairs:
+        for word in product_words.union(short.get(weight, ())):
+            if distances[x] + distances[y] < qpair.u_distance(word):
+                assert _pair2_word(x, y, word).is_zero(), (x, y, word)
+                skipped += 1
+    assert skipped > 0
+
+
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     # the check never reaches the pairings it checks, nor the states of a
-    # product of members, coset or the weights that prune omega and coset,
+    # product of members, coset or the gradings that prune omega and coset,
     # and adds no entry to any pairing cache: it shares only _steps,
     # _normal_form and the single-member _member_states with omega
     samples = omega_samples()
@@ -520,7 +582,8 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
 
     for name in ("_pair2_word", "_pair_word", "pair", "coset",
                  "u_weight", "functional_weights", "letter_weights",
-                 "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight"):
+                 "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight",
+                 "functional_distances", "_count_paths"):
         monkeypatch.setattr(qpair, name, forbidden)
     member_states = qpair._member_states
     monkeypatch.setattr(qpair, "_member_states",

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from qflag3.report import VerificationReport, emit
 
@@ -44,3 +46,22 @@ def test_emit_multiple():
     assert [r["suite"] for r in payload] == ["a", "b"]
     text = emit([first, second], "text")
     assert "suite a: pass" in text and "suite b: FAIL" in text
+
+
+def test_reports_compare_and_print_by_suite_and_checks():
+    first, second = VerificationReport("demo"), VerificationReport("demo")
+    for report in (first, second):
+        report.add("alpha", "Thm 0.0", "1", "1")
+    assert first == second
+    assert first != VerificationReport("other", first.checks)
+    assert repr(first) == ("VerificationReport(suite='demo', checks=[Check(id='alpha', "
+                           "citation='Thm 0.0', expected='1', actual='1', passed=True)])")
+
+
+def test_building_the_relations_loads_neither_dataclasses_nor_json():
+    # a cold start pays for neither: the JSON renderers import json when called
+    code = ("import qflag3.flagext, sys; qflag3.flagext.build_relations(); "
+            "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"
