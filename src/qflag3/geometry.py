@@ -179,7 +179,7 @@ def connection_space_dims():
     weights = qpair.letter_weights()
     basis_index = {w: k for k, w in enumerate(algebra.system.irreducible_words(2))}
     total = torsion_free = kernel_total = 0
-    for w, pairs in qpair.dual_pairs_by_weight().items():
+    for w, pairs in qpair.duals_by_weight(2).items():
         kdim = len(pairs) - linalg.rank(
             _wedge_vector(algebra, i, j, basis_index) for (i, j), _, _ in pairs)
         kernel_total += kdim

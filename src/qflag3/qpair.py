@@ -16,27 +16,26 @@ coefficients meet them.  From it come the coset map onto V1, the two-fold
 coproduct map omega and the right module action on V1^(x)k, whose tensors
 are degree-k polynomials over the cotangent alphabet.
 
-The pairing is graded twice, and this module is the one place that states
-the gradings, both read off the generator matrices.  By weight: u_ij has
-weight e_i - e_j (``u_weight``), an E/F letter that of its one matrix
-entry, a K power 0, and words and states the sum over their letters; a
-state pairs to zero with every word of another weight.  By distance: u_ij
-has distance |i - j| (``u_distance``), an E/F letter that of its one
-matrix entry, which is 1, so a state's distance is its letter count m; each
-letter moves one tensor slot by its distance, so a state pairs to zero with
-every word of distance above m.  ``functional_weights`` and
-``functional_distances`` check that each member's states share one grade,
-and a cotangent letter has the weight of its slot dual (``letter_weights``),
-so e_a1, the coset of u21, has weight e2 - e1.  ``omega`` tries only the
-dual pairs (x, y) of a word's weight with m(x) + m(y) at least the word's
-distance, and ``coset`` only the slot dual of its weight with m at least
-that distance.  Both tests run once per word and dual, before any
-pairing: the recursion prunes nothing, because a test at each of its nodes
-costs more than the dead paths it would cut.  ``_pair2_cache`` memoises
-the pairings of products of two members, and ``_pair_word`` recomputes its
-values.
+The pairing is graded, and this module is the one place that states the
+grade, read off the generator matrices.  An E/F letter stands for u_rc, its
+one matrix entry (r, c), so a state's E/F letters spell a u-word
+(``_letter_word``), and a K power spells nothing.  ``grade`` gives a product
+of members the weight (u_ij has weight e_i - e_j, ``u_weight``) and the
+distance (|i - j|, ``u_distance``) of that word, and checks that all its
+states agree.  A state pairs to zero with every word of another weight; each
+letter's entry lies one step off the diagonal and moves one tensor slot by
+it, so a state also pairs to zero with every word of distance above its
+letter count.  A cotangent letter has the weight of its slot dual
+(``letter_weights``), so e_a1, the coset of u21, has weight e2 - e1.
+``coset`` and ``omega`` are the one map ``_cotangent_map`` of degree 1 and
+2: it pairs each word only with the products of slot duals of its weight
+whose distance reaches the word's (``duals_by_weight``).  The test runs once
+per word and product, before any pairing: the recursion prunes nothing,
+because a test at each of its nodes costs more than the dead paths it would
+cut.  ``_pair2_cache`` memoises the pairings of products of two members, and
+``_pair_word`` recomputes its values.
 ``omega_by_expansion`` checks omega independently: it walks each word's index
-tuples, stepping the slot duals' single states, reads no grading and keeps
+tuples, stepping the slot duals' single states, reads no grade and keeps
 nothing between calls.
 """
 
@@ -123,20 +122,6 @@ def _k_power(letter, power):
     return (power, 0) if letter[1] == "1" else (0, power)
 
 
-def _letter_weight(letter):
-    """The weight of an E/F letter: that of u_rc, for its one matrix entry (r, c)."""
-    (row, (col, _)), = GENERATORS[letter].items()
-    return u_weight(u_word((row, col)))
-
-
-def _letter_distance(letter):
-    """The distance of an E/F letter: that of u_rc, for its one matrix entry (r, c).
-    The coproduct puts the letter in one tensor slot and K powers, which are
-    diagonal, in the others, so the letter moves one slot's index this far."""
-    (row, (col, _)), = GENERATORS[letter].items()
-    return u_distance(u_word((row, col)))
-
-
 def _q_exponent(value):
     """The exponent e of a matrix entry q^e; any other entry raises ValueError."""
     if value != Coefficient.q_power(exp := min(value.num.terms, default=0)):
@@ -187,36 +172,27 @@ def _member_states(*names):
     return tuple((state, c) for state, c in summed.items() if c.terms)
 
 
-# -- gradings -----------------------------------------------------------------
+# -- grading -------------------------------------------------------------------
 
 
-def _member_grades(grade, kind):
-    """Each member's grade, the one value of grade(state) over its states.
-    Raises AssertionError unless all terms of a member have one grade."""
-    grades = {}
-    for name in MEMBERS:
-        found = {grade(state) for state, _ in _member_states(name)}
-        if len(found) != 1:
-            raise AssertionError("%s has no single %s: %s" % (name, kind, sorted(found)))
-        grades[name] = found.pop()
-    return grades
+def _letter_word(state):
+    """The u-word of a state's E/F letters: u_rc for each letter's one matrix entry (r, c).
+    The coproduct puts a letter in one tensor slot and K powers, which are
+    diagonal, in the others, so the letter moves one slot's index as u_rc does."""
+    return u_word(*((row, col) for letter in state[:-2]
+                    for row, (col, _) in GENERATORS[letter].items()))
 
 
 @lru_cache(maxsize=None)
-def functional_weights():
-    """The weight of each member, the sum over each state's E/F letters.
-    Raises AssertionError unless all terms of a member have one weight."""
-    return _member_grades(
-        lambda state: reduce(rootdata.add, map(_letter_weight, state[:-2]), (0, 0, 0)), "weight")
-
-
-@lru_cache(maxsize=None)
-def functional_distances():
-    """The distance of each member, the sum over each state's E/F letters: 1
-    for every letter, so the letter count m, and the member pairs to zero
-    with every word of distance above m.  Raises AssertionError unless all
-    terms of a member have one distance."""
-    return _member_grades(lambda state: sum(map(_letter_distance, state[:-2])), "distance")
+def grade(*names):
+    """The grade (weight, distance) of the product of the named members: the
+    u_weight and u_distance of each state's letter word.  Raises
+    AssertionError unless all states of the product have one grade."""
+    found = {(u_weight(word), u_distance(word))
+             for word in (_letter_word(state) for state, _ in _member_states(*names))}
+    if len(found) != 1:
+        raise AssertionError("%s has no single grade: %s" % (" ".join(names), sorted(found)))
+    return found.pop()
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +200,7 @@ def letter_weights():
     """The weight of each cotangent letter, by index: that of its slot dual,
     which is the weight of the u-words whose coset lies on the letter.
     Raises AssertionError unless the six weights are distinct."""
-    weights = tuple(functional_weights()[dual] for dual in SLOT_DUALS)
+    weights = tuple(grade(dual)[0] for dual in SLOT_DUALS)
     if len(set(weights)) != len(weights):
         raise AssertionError("two slot duals share a weight")
     return weights
@@ -237,21 +213,15 @@ def cotangent_weight(word):
 
 
 @lru_cache(maxsize=None)
-def _slot_dual_by_weight():
-    """Weight -> (slot, dual), for the six slot duals."""
-    return {weight: (slot, SLOT_DUALS[slot]) for slot, weight in enumerate(letter_weights())}
-
-
-@lru_cache(maxsize=None)
-def dual_pairs_by_weight():
-    """Weight -> the dual pairs ((r, c), x, y) of the slots r and c, whose
-    weights add up to it, in row-major order of (r, c) within each weight."""
-    weights = letter_weights()
+def duals_by_weight(degree):
+    """Weight -> (slots, names, distance) for every product of `degree` slot
+    duals of that weight, in row-major order of the slots within each weight."""
     groups = {}
-    for r, x in enumerate(SLOT_DUALS):
-        for c, y in enumerate(SLOT_DUALS):
-            groups.setdefault(rootdata.add(weights[r], weights[c]), []).append(((r, c), x, y))
-    return {weight: tuple(pairs) for weight, pairs in groups.items()}
+    for slots in product(range(len(SLOT_DUALS)), repeat=degree):
+        names = tuple(SLOT_DUALS[slot] for slot in slots)
+        weight, distance = grade(*names)
+        groups.setdefault(weight, []).append((slots, names, distance))
+    return {weight: tuple(group) for weight, group in groups.items()}
 
 
 # -- pairing ------------------------------------------------------------------
@@ -339,21 +309,29 @@ def cotangent(*letters, coeff=ONE) -> NCPolynomial:
         COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
 
 
-def coset(poly: NCPolynomial) -> NCPolynomial:
-    """Coset of a u-polynomial in the cotangent space, a degree-1 tensor.
-
-    The component on each basis vector is the pairing with its dual
-    functional, so a word meets at most one slot: the one whose dual has the
-    word's weight, if the dual's letter count reaches the word's distance.
-    Constants die automatically since all six vanish on 1.
-    """
-    by_weight, distances = _slot_dual_by_weight(), functional_distances()
+def _cotangent_map(poly: NCPolynomial, degree: int, pairing) -> NCPolynomial:
+    """The coset map of the given degree, a tensor of V1^(x)degree: its
+    coefficient on the word of slots (s_1, ..., s_k) is the pairing of the
+    product of their duals against the input, pairing(*names, word).  Each
+    word is paired only with the products of its weight whose distance, their
+    letter count, reaches its own; the others pair to zero with it."""
+    groups = duals_by_weight(degree)
     terms = {}
     for word, coeff in poly.terms.items():
-        slot, dual = by_weight.get(u_weight(word), (None, None))
-        if dual is not None and distances[dual] >= u_distance(word):
-            terms[(slot,)] = terms.get((slot,), ZERO) + coeff * pair(dual, word)
+        distance = u_distance(word)
+        for slots, names, reach in groups.get(u_weight(word), ()):
+            if reach >= distance:
+                value = pairing(*names, word)
+                if not value.is_zero():
+                    terms[slots] = terms.get(slots, ZERO) + coeff * value
     return NCPolynomial(COTANGENT_ALPHABET, terms)
+
+
+def coset(poly: NCPolynomial) -> NCPolynomial:
+    """Coset of a u-polynomial in the cotangent space, a degree-1 tensor: the
+    component on each basis vector is the pairing with its dual functional.
+    Constants die automatically since all six vanish on 1."""
+    return _cotangent_map(poly, 1, pair)
 
 
 def counit(poly: NCPolynomial) -> Coefficient:
@@ -369,22 +347,10 @@ def plus_part(poly: NCPolynomial) -> NCPolynomial:
 def omega(poly: NCPolynomial) -> NCPolynomial:
     """The degree-two coset map, a tensor of V1 (x) V1: its coefficient on
     the word (r, c) is the pairing of the product of the r-th and c-th dual
-    functionals against the input (left tensor leg first).  Each word is
-    paired only with the dual pairs (x, y) of its weight whose letter counts
-    m(x) + m(y) reach its distance."""
+    functionals against the input (left tensor leg first)."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input; subtract eps(y) first")
-    groups, distances = dual_pairs_by_weight(), functional_distances()
-    terms = {}
-    for word, coeff in poly.terms.items():
-        distance = u_distance(word)
-        for key, x, y in groups.get(u_weight(word), ()):
-            if distances[x] + distances[y] < distance:
-                continue
-            value = _pair2_word(x, y, word)
-            if not value.is_zero():
-                terms[key] = terms.get(key, ZERO) + coeff * value
-    return NCPolynomial(COTANGENT_ALPHABET, terms)
+    return _cotangent_map(poly, 2, _pair2_word)
 
 
 def _advance(legs, path):

@@ -1,12 +1,19 @@
 import contextlib
 import itertools
+import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from qflag3 import qpair
 from qflag3.ncpoly import NCPolynomial
 from qflag3.scalar import Coefficient, ONE, ZERO
+
+# the CLI, report and demo tests run qflag3 in subprocesses, which import the
+# same source tree as this process: the checkout's src, ahead of any install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @contextlib.contextmanager

@@ -9,7 +9,7 @@ from qflag3 import flagext, geometry, qpair, rootdata
 from qflag3.ncpoly import NCPolynomial
 from qflag3.qpair import (COTANGENT_ALPHABET, GENERATORS, MEMBERS, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word, coset,
-                          cotangent, counit, flag_generator, functional_weights,
+                          cotangent, counit, flag_generator, grade,
                           omega, omega_by_expansion, omega_render, pair, plus_part,
                           right_act, u_monomial, u_weight, u_word)
 from qflag3.scalar import Coefficient, ONE, ZERO
@@ -51,9 +51,11 @@ def generator_polynomial(*terms):
 
 
 def state_weight(state):
+    # each E/F letter has the weight e_r - e_c of its one matrix entry (r, c)
     weight = (0, 0, 0)
     for letter in state[:-2]:
-        weight = rootdata.add(weight, qpair._letter_weight(letter))
+        (row, (col, _)), = GENERATORS[letter].items()
+        weight = rootdata.add(weight, tuple((k == row) - (k == col) for k in (1, 2, 3)))
     return weight
 
 
@@ -75,7 +77,7 @@ def test_counits():
 def test_functional_weights():
     # one weight per member, the sum over each state's E/F letters, and each
     # single letter it pairs with has that weight
-    weights = functional_weights()
+    weights = {name: grade(name)[0] for name in MEMBERS}
     assert weights == {
         "K1": (0, 0, 0), "K2": (0, 0, 0), "E_a1": (-1, 1, 0), "E_a2": (0, -1, 1),
         "E_a12": (-1, 0, 1), "F_a1": (1, -1, 0), "F_a2": (0, 1, -1), "F_a12": (1, 0, -1)}
@@ -91,15 +93,15 @@ def test_functional_weights_reject_a_member_of_mixed_weight(monkeypatch):
     monkeypatch.setitem(MEMBERS, "E_a2", ((ONE, "E2"), (ONE, "E1")))
     qpair._member_states.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="E_a2 has no single weight"):
-            functional_weights.__wrapped__()
+        with pytest.raises(AssertionError, match="E_a2 has no single grade"):
+            grade.__wrapped__("E_a2")
     finally:
         qpair._member_states.cache_clear()
 
 
 def test_functional_distances():
     # each member's distance is the E/F letter count m of each of its states
-    distances = qpair.functional_distances()
+    distances = {name: grade(name)[1] for name in MEMBERS}
     assert distances == {"K1": 0, "K2": 0, "E_a1": 1, "E_a2": 1, "E_a12": 2,
                          "F_a1": 1, "F_a2": 1, "F_a12": 2}
     for name in MEMBERS:
@@ -112,9 +114,9 @@ def test_functional_distances_reject_a_member_of_mixed_distance(monkeypatch):
     monkeypatch.setitem(MEMBERS, "E_a1", ((ONE, "E1"), (ONE, "E1 F1 E1")))
     qpair._member_states.cache_clear()
     try:
-        assert functional_weights.__wrapped__()["E_a1"] == (-1, 1, 0)
-        with pytest.raises(AssertionError, match="E_a1 has no single distance"):
-            qpair.functional_distances.__wrapped__()
+        assert {state_weight(state) for state, _ in qpair._member_states("E_a1")} == {(-1, 1, 0)}
+        with pytest.raises(AssertionError, match="E_a1 has no single grade"):
+            grade.__wrapped__("E_a1")
     finally:
         qpair._member_states.cache_clear()
 
@@ -548,32 +550,48 @@ def test_omega_agrees_with_explicit_expansion_on_flag_products():
 
 
 def test_pairs_beyond_the_letter_count_vanish():
-    # the distance grading that omega and coset skip by: x*y pairs to zero with
-    # every word of distance above m(x) + m(y), on every word of length <= 4
-    # of the pair's weight and every word of the counit-corrected products
-    distances = qpair.functional_distances()
+    # the distance grading that coset and omega skip by: a slot dual, or a
+    # product x*y of two, pairs to zero with every word of distance above its
+    # letter count, on every word of length <= 4 of its weight and every word
+    # of the counit-corrected products
     short = {}
     for k in range(5):
         for word in itertools.product(range(9), repeat=k):
             short.setdefault(u_weight(word), []).append(word)
     product_words = {word for poly in flag_products() for word in poly.terms}
-    pairs = [(x, y, weight) for weight, group in qpair.dual_pairs_by_weight().items()
-             for _, x, y in group]
-    assert len(pairs) == 36
-    skipped = 0
-    for x, y, weight in pairs:
-        for word in product_words.union(short.get(weight, ())):
-            if distances[x] + distances[y] < qpair.u_distance(word):
-                assert _pair2_word(x, y, word).is_zero(), (x, y, word)
-                skipped += 1
-    assert skipped > 0
+    skipped = {1: 0, 2: 0}
+    for degree, pairing, count in ((1, pair, 6), (2, _pair2_word, 36)):
+        duals = [(names, weight, distance) for weight, group in qpair.duals_by_weight(degree).items()
+                 for _, names, distance in group]
+        assert len(duals) == count
+        for names, weight, distance in duals:
+            for word in product_words.union(short.get(weight, ())):
+                if distance < qpair.u_distance(word):
+                    assert pairing(*names, word).is_zero(), (names, word)
+                    skipped[degree] += 1
+    assert all(skipped.values())
+
+
+def test_coset_skips_no_nonzero_pairing():
+    # coset against pairing every word with all six slot duals, unfiltered,
+    # on the counit-corrected flag generators and their products
+    samples = [plus_part(poly) for poly in all_flag_generators().values()] + flag_products()
+    assert len(samples) == 18 + 324
+    nonzero = 0
+    for poly in samples:
+        expected = NCPolynomial(COTANGENT_ALPHABET, {
+            (slot,): sum((coeff * pair(dual, word) for word, coeff in poly.terms.items()), ZERO)
+            for slot, dual in enumerate(qpair.SLOT_DUALS)})
+        assert coset(poly) == expected, poly.render()
+        nonzero += not expected.is_zero()
+    assert nonzero > 0
 
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
     # the check never reaches the pairings it checks, nor the states of a
-    # product of members, coset or the gradings that prune omega and coset,
-    # and adds no entry to any pairing cache: it shares only _steps,
-    # _normal_form and the single-member _member_states with omega
+    # product of members, coset, or the grade and the map that prune omega
+    # and coset, and adds no entry to any pairing cache: it shares only
+    # _steps, _normal_form and the single-member _member_states with omega
     samples = omega_samples()
     expected = [omega(poly) for poly in samples]
 
@@ -581,9 +599,8 @@ def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):
         raise AssertionError("omega_by_expansion reached the code it checks")
 
     for name in ("_pair2_word", "_pair_word", "pair", "coset",
-                 "u_weight", "functional_weights", "letter_weights",
-                 "cotangent_weight", "dual_pairs_by_weight", "_slot_dual_by_weight",
-                 "functional_distances", "_count_paths"):
+                 "u_weight", "grade", "letter_weights", "cotangent_weight",
+                 "duals_by_weight", "_letter_word", "_cotangent_map", "_count_paths"):
         monkeypatch.setattr(qpair, name, forbidden)
     member_states = qpair._member_states
     monkeypatch.setattr(qpair, "_member_states",
@@ -648,12 +665,14 @@ def test_product_pairing_is_the_coproduct_expansion():
     # omega reaches, and every word of length <= 2: x*y paired with
     # u_(i1 j1)...u_(ik jk) is the sum over a of x(u_(i1 a1)...u_(ik ak))
     # times y(u_(a1 j1)...u_(ak jk)); and it is zero unless the word's weight
-    # is wt(x) + wt(y)
-    weights = functional_weights()
+    # is wt(x) + wt(y).  The grade of x*y, read off its own states, is the
+    # sum of the factors' grades
+    grades = {name: grade(name) for name in MEMBERS}
     words = [word for k in range(3) for word in itertools.product(range(9), repeat=k)]
-    assert (len(weights) ** 2, len(words)) == (64, 91)
-    for x, wx in weights.items():
-        for y, wy in weights.items():
+    assert (len(grades) ** 2, len(words)) == (64, 91)
+    for x, (wx, dx) in grades.items():
+        for y, (wy, dy) in grades.items():
+            assert grade(x, y) == (rootdata.add(wx, wy), dx + dy), (x, y)
             for word in words:
                 expected = ZERO
                 for mids in itertools.product(range(3), repeat=len(word)):
