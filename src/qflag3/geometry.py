@@ -5,6 +5,7 @@ counts for covariant connections, and the Kaehler obstruction computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -96,21 +97,14 @@ def check_bigrading(foacs: Foacs) -> VerificationReport:
         for word in rule.rhs.terms:
             if bidegree_of_word(word, foacs) != lhs_deg:
                 offenders.append(algebra.alphabet.render_word(rule.lhs))
-    report.add("bihomogeneous[%s]" % tag, "Cor 5.3",
-               "all 21 rules bihomogeneous",
-               "all 21 rules bihomogeneous" if not offenders
-               else "offending rules: %s" % ", ".join(offenders))
-    table = {}
-    for k in range(7):
-        for word in algebra.system.irreducible_words(k):
-            table[bidegree_of_word(word, foacs)] = table.get(
-                bidegree_of_word(word, foacs), 0) + 1
+    report.claim("bihomogeneous[%s]" % tag, "Cor 5.3", "all 21 rules bihomogeneous",
+                 not offenders, "offending rules: %s" % ", ".join(offenders))
+    table = Counter(bidegree_of_word(word, foacs)
+                    for k in range(7) for word in algebra.system.irreducible_words(k))
     binom = [1, 3, 3, 1]
     expected = {(a, b): binom[a] * binom[b] for a in range(4) for b in range(4)}
-    report.add("bidegree-dims[%s]" % tag, "Cor 5.3",
-               "dim V^(a,b) = C(3,a)C(3,b)",
-               "dim V^(a,b) = C(3,a)C(3,b)" if table == expected
-               else "deviating table: %s" % sorted(table.items()))
+    report.claim("bidegree-dims[%s]" % tag, "Cor 5.3", "dim V^(a,b) = C(3,a)C(3,b)",
+                 table == expected, "deviating table: %s" % sorted(table.items()))
     return report
 
 
@@ -156,9 +150,8 @@ def check_integrability(foacs: Foacs) -> VerificationReport:
             (LETTERS[r], LETTERS[c])
             for r in anti_slots for c in anti_slots if (r, c) in tensor.terms
         ]
-        report.add("omega-antiholo-block[%s]:z%d_%d%d" % ((tag,) + key),
-                   "Prop 5.4",
-                   "0", "0" if not block_nonzero else str(block_nonzero))
+        report.claim("omega-antiholo-block[%s]:z%d_%d%d" % ((tag,) + key),
+                     "Prop 5.4", "0", not block_nonzero, str(block_nonzero))
     return report
 
 
@@ -302,20 +295,19 @@ def no_covariant_kahler() -> VerificationReport:
     verdicts = centrality_verdicts()
     central_dim = sum(1 for ok in verdicts.values() if ok)
     report.add("central-subspace-dim", "Lemma 6.4", "2", str(central_dim))
-    report.add("central-locus", "Lemma 6.4",
-               "central iff c1 = 0 (f_a1^e_a1 fails, other two pass)",
-               "central iff c1 = 0 (f_a1^e_a1 fails, other two pass)"
-               if verdicts == {"f_a1^e_a1": False, "f_a2^e_a2": True,
-                               "f_a12^e_a12": True}
-               else str(verdicts))
+    report.claim("central-locus", "Lemma 6.4",
+                 "central iff c1 = 0 (f_a1^e_a1 fails, other two pass)",
+                 verdicts == {"f_a1^e_a1": False, "f_a2^e_a2": True,
+                              "f_a12^e_a12": True},
+                 str(verdicts))
     cube, divisible = kahler_cube()
     report.add("cube-divisible-by-c1", "Lemma 6.5", "True", str(divisible))
     at_zero = cube_at(cube, (0, 1, 1))
     report.add("cube-vanishes-on-central-locus", "Lemma 6.5",
                "0", at_zero.render())
     at_ones = cube_at(cube, (1, 1, 1))
-    report.add("nondegenerate-forms-exist-without-centrality", "Lemma 6.5",
-               "nonzero", "nonzero" if not at_ones.is_zero() else "0")
+    report.claim("nondegenerate-forms-exist-without-centrality", "Lemma 6.5",
+                 "nonzero", not at_ones.is_zero(), "0")
     report.add("central-nondegenerate-empty", "Thm 6.6",
                "True", str(divisible and at_zero.is_zero()))
     return report

@@ -1,4 +1,10 @@
-"""Structured pass/fail records for the verification suites."""
+"""Structured pass/fail records for the verification suites.
+
+Two kinds of check: a value check (`add`) passes when the predicted and the
+computed value render alike, unless given its verdict; a claim (`claim`)
+states a fact once and passes by whether it holds, showing a witness as its
+actual text when it does not.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +39,10 @@ class VerificationReport:
         if passed is None:
             passed = expected == actual
         self.checks.append(Check(id, citation, expected, actual, bool(passed)))
+
+    def claim(self, id, citation, statement, holds, otherwise):
+        """Record that `statement` holds, or `otherwise` as the actual text."""
+        self.add(id, citation, statement, statement if holds else otherwise, holds)
 
     def failures(self):
         return [check for check in self.checks if not check.passed]

@@ -48,18 +48,16 @@ def suite_relations() -> VerificationReport:
         all(qpair.cotangent_weight(w) == qpair.cotangent_weight(rule.lhs)
             for w in rule.rhs.terms)
         for rule in algebra.system.rules)
-    report.add("weight-homogeneous", "Prop 5.2 proof",
-               "every rule weight-homogeneous",
-               "every rule weight-homogeneous" if weight_ok else "violated")
+    report.claim("weight-homogeneous", "Prop 5.2 proof",
+                 "every rule weight-homogeneous", weight_ok, "violated")
 
     derived_dim, encoded_dim, witnesses = flagext.derive_relations_via_omega(algebra)
     report.add("omega-span-dimension", "Thm 3.3 proof", "21", str(derived_dim))
     report.add("encoded-span-dimension", "Thm 3.3", "21", str(encoded_dim))
-    report.add("span-equality", "Thm 3.3 proof",
-               "derived and encoded relation spans coincide",
-               "derived and encoded relation spans coincide" if not witnesses
-               and derived_dim == encoded_dim == 21
-               else "escaping generators: %s" % witnesses)
+    report.claim("span-equality", "Thm 3.3 proof",
+                 "derived and encoded relation spans coincide",
+                 not witnesses and derived_dim == encoded_dim == 21,
+                 "escaping generators: %s" % witnesses)
 
     worked = qpair.omega(qpair.plus_part(qpair.flag_generator(1, 2, 2)))
     report.add("omega-worked-generator", "Thm 3.3 proof",
@@ -106,10 +104,9 @@ def suite_confluence() -> VerificationReport:
 
     graded = flagext.associated_graded()
     graded_report = graded.system.confluence_check("Prop 3.7")
-    report.add("graded-system-confluent", "Prop 3.7",
-               "all 56 ambiguities resolve",
-               "all 56 ambiguities resolve" if graded_report.overall
-               else "failures: %s" % [c.id for c in graded_report.failures()])
+    report.claim("graded-system-confluent", "Prop 3.7",
+                 "all 56 ambiguities resolve", graded_report.overall,
+                 "failures: %s" % [c.id for c in graded_report.failures()])
     return report
 
 
@@ -120,11 +117,9 @@ def suite_nakayama() -> VerificationReport:
     for letter in algebra.alphabet.letters:
         report.add("sigma(%s)" % letter, "Cor 3.9",
                    EXPECTED_NAKAYAMA[letter], table[letter].render())
-    report.add("sigma-algebra-morphism", "Prop 3.8",
-               "sigma respects every relation",
-               "sigma respects every relation"
-               if flagext.nakayama_is_algebra_morphism(algebra)
-               else "violated")
+    report.claim("sigma-algebra-morphism", "Prop 3.8",
+                 "sigma respects every relation",
+                 flagext.nakayama_is_algebra_morphism(algebra), "violated")
     graded_table = flagext.nakayama_generator_table(flagext.associated_graded())
     report.add("graded-nakayama", "Prop 3.8",
                str(sorted(EXPECTED_NAKAYAMA.items())),
@@ -142,13 +137,12 @@ def suite_nakayama() -> VerificationReport:
         _, _, matrix = flagext.frobenius_matrix(algebra, degree)
         det_ok = linalg.solve(
             matrix, [ONE] + [ZERO] * (len(matrix) - 1)) is not None
-        report.add("pairing-invertible-deg%d" % degree, "Prop 3.8",
-                   "invertible", "invertible" if det_ok else "singular")
-        report.add("pairing-generalized-permutation-deg%d" % degree, "Prop 3.8",
-                   "one nonzero entry per row and column",
-                   "one nonzero entry per row and column"
-                   if flagext.is_generalized_permutation(matrix)
-                   else "extra nonzero pairings present")
+        report.claim("pairing-invertible-deg%d" % degree, "Prop 3.8",
+                     "invertible", det_ok, "singular")
+        report.claim("pairing-generalized-permutation-deg%d" % degree, "Prop 3.8",
+                     "one nonzero entry per row and column",
+                     flagext.is_generalized_permutation(matrix),
+                     "extra nonzero pairings present")
     return report
 
 
@@ -158,20 +152,14 @@ def suite_acs() -> VerificationReport:
     report.add("candidate-count", "Prop 5.2", "64",
                str(len(geometry.candidate_splittings())))
     report.add("survivor-count", "Prop 5.2", "4", str(len(survivors)))
-    report.add("structure-I", "Prop 5.2",
-               "H={e_a2,e_a12,e_a1} survives",
-               "H={e_a2,e_a12,e_a1} survives"
-               if geometry.STRUCTURE_I in survivors else "absent")
-    report.add("structure-II", "Prop 5.2 (module closure forces f_a12 with f_a1;"
-               " the statement prints e_a12 there)",
-               "H={f_a12,f_a1,e_a2} survives",
-               "H={f_a12,f_a1,e_a2} survives"
-               if geometry.STRUCTURE_II in survivors else "absent")
-    report.add("opposite-closure", "Prop 5.2",
-               "survivors closed under swapping the two halves",
-               "survivors closed under swapping the two halves"
-               if all(s.opposite() in survivors for s in survivors)
-               else "not closed")
+    report.claim("structure-I", "Prop 5.2", "H={e_a2,e_a12,e_a1} survives",
+                 geometry.STRUCTURE_I in survivors, "absent")
+    report.claim("structure-II", "Prop 5.2 (module closure forces f_a12 with f_a1;"
+                 " the statement prints e_a12 there)", "H={f_a12,f_a1,e_a2} survives",
+                 geometry.STRUCTURE_II in survivors, "absent")
+    report.claim("opposite-closure", "Prop 5.2",
+                 "survivors closed under swapping the two halves",
+                 all(s.opposite() in survivors for s in survivors), "not closed")
     classes = len({min(s.key(), s.opposite().key()) for s in survivors})
     report.add("classes-up-to-opposite", "Prop 5.2", "2", str(classes))
     for structure in (geometry.STRUCTURE_I, geometry.STRUCTURE_II):
@@ -207,21 +195,19 @@ def suite_kahler() -> VerificationReport:
                "f_a2.e_a2, f_a12.e_a12, f_a1.e_a1",
                ", ".join(algebra.alphabet.render_word(w) for w in forms),
                passed={tuple(w) for w in forms} == {
-                   algebra.alphabet.word("f_a2", "e_a2"),
-                   algebra.alphabet.word("f_a12", "e_a12"),
-                   algebra.alphabet.word("f_a1", "e_a1")})
+                   algebra.alphabet.word(*pair) for pair in geometry.COINVARIANT_2FORMS})
     report.add("coinvariant-0-forms-dim", "Lemma 6.3", "1",
                str(len(geometry.coinvariant_forms(0))))
     report.add("coinvariant-6-forms-dim", "Lemma 6.3", "1",
                str(len(geometry.coinvariant_forms(6))))
 
     verdicts = geometry.centrality_verdicts()
-    report.add("central:f_a2^e_a2", "Lemma 6.4", "central",
-               "central" if verdicts["f_a2^e_a2"] else "not central")
-    report.add("central:f_a12^e_a12", "Lemma 6.4", "central",
-               "central" if verdicts["f_a12^e_a12"] else "not central")
-    report.add("noncentral:f_a1^e_a1", "Lemma 6.4", "not central",
-               "not central" if not verdicts["f_a1^e_a1"] else "central")
+    report.claim("central:f_a2^e_a2", "Lemma 6.4", "central",
+                 verdicts["f_a2^e_a2"], "not central")
+    report.claim("central:f_a12^e_a12", "Lemma 6.4", "central",
+                 verdicts["f_a12^e_a12"], "not central")
+    report.claim("noncentral:f_a1^e_a1", "Lemma 6.4", "not central",
+                 not verdicts["f_a1^e_a1"], "central")
     report.add("centrality-witness",
                "Lemma 6.4 proof (recomputed from the module action; the"
                " source display collapses its sums inconsistently)",

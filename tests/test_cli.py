@@ -204,6 +204,20 @@ def test_verify_all_json_matches_recorded_report():
     assert result.stdout == RECORDED_REPORT.read_text(encoding="utf-8")
 
 
+def test_recorded_report_matches_the_benchmark_known_answers():
+    # the benchmark refuses a report whose check count, pass count or failing
+    # ids differ from its hand-written known answers: a change to the report
+    # must change those answers with it
+    known_answers = Path(__file__).parent.parent / "perfbench" / "known_answers.json"
+    known = json.loads(known_answers.read_text(encoding="utf-8"))["verify-cli"]
+    checks = [(suite["suite"] + "/" + check["id"], check["pass"])
+              for suite in json.loads(RECORDED_REPORT.read_text(encoding="utf-8"))
+              for check in suite["checks"]]
+    failing = sorted(name for name, passed in checks if not passed)
+    assert (len(checks), len(checks) - len(failing), failing) == (
+        known["checks"], known["passed"], sorted(known["failing"]))
+
+
 @pytest.mark.parametrize("name, args, code", [
     ("verify_all", ("verify", "all"), 1),
     ("verify_all_q_at_one_json", ("verify", "all", "--q-at-one", "--format", "json"), 0),

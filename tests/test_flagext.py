@@ -7,7 +7,7 @@ from qflag3.flagext import (associated_graded, build_relations,
                             is_generalized_permutation, nakayama,
                             nakayama_generator_table,
                             nakayama_is_algebra_morphism, star)
-from qflag3.ncpoly import NCPolynomial
+from qflag3.ncpoly import NCPolynomial, ReductionSystem, RewriteRule
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -251,7 +251,20 @@ def test_pairing_invertible_everywhere_but_permutation_only_outside_middle():
         assert is_generalized_permutation(matrix)
 
 
+def _lost_swap():
+    """The relations with the swap term of e_a1.f_a1 dropped: its rhs keeps
+    only nu*f_a12.e_a12, which vanishes at q = 1."""
+    algebra = build_relations()
+    word = algebra.alphabet.word
+    lhs = word("e_a1", "f_a1")
+    rules = [RewriteRule(lhs, algebra.monomial(word("f_a12", "e_a12"), NU))
+             if rule.lhs == lhs else rule for rule in algebra.system.rules]
+    return flagext.ExteriorAlgebra("lost-swap", ReductionSystem(algebra.alphabet, rules))
+
+
 def test_classical_limit_report():
-    report = flagext.classical_limit_check(build_relations())
-    assert report.overall
-    assert len(report.checks) == 21
+    for algebra, failing in ((build_relations(), []),
+                             (_lost_swap(), ["classical:e_a1.f_a1"])):
+        report = flagext.classical_limit_check(algebra)
+        assert [check.id for check in report.failures()] == failing
+        assert len(report.checks) == 21

@@ -15,13 +15,20 @@ def test_check_fields_and_overall():
     report = VerificationReport("demo")
     report.add("first", "Thm 0.0", "1", "1")
     report.add("second", "Thm 0.1", "2", "3")
+    report.claim("holds", "Thm 0.2", "it holds", True, "witness")
+    report.claim("fails", "Thm 0.3", "it holds", False, "witness")
+    # a claim passes by its boolean, even when its witness reads like the statement
+    report.claim("fails-alike", "Thm 0.4", "it holds", False, "it holds")
     obj = report.to_json_obj()
-    assert [c["id"] for c in obj["checks"]] == ["first", "second"]
+    assert [c["id"] for c in obj["checks"]] == [
+        "first", "second", "holds", "fails", "fails-alike"]
     assert obj["checks"][0] == {"id": "first", "citation": "Thm 0.0",
                                 "expected": "1", "actual": "1", "pass": True}
-    assert obj["checks"][1]["pass"] is False
+    assert [(c["expected"], c["actual"], c["pass"]) for c in obj["checks"][1:]] == [
+        ("2", "3", False), ("it holds", "it holds", True),
+        ("it holds", "witness", False), ("it holds", "it holds", False)]
     assert obj["overall"] is False
-    assert report.failures()[0].id == "second"
+    assert [c.id for c in report.failures()] == ["second", "fails", "fails-alike"]
 
 
 def test_explicit_pass_flag():
