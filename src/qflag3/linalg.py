@@ -6,7 +6,9 @@ pivot set maps each leading column (the least key of its row) to the rest of
 that row divided by minus its lead entry, its tail; every tail key is greater
 than its lead and distinct rows have distinct leading columns.  Reducing a
 row whose lead has a pivot pops that lead and adds lead * tail, so the
-cancelled lead is never computed.
+cancelled lead is never computed.  A caller whose pivots follow a rule may
+leave them out of the set and pass `reduce` a lookup that derives the tail
+of a lead the set misses.
 """
 
 from __future__ import annotations
@@ -14,13 +16,17 @@ from __future__ import annotations
 from .scalar import ZERO
 
 
-def reduce(row, pivots) -> dict:
+def reduce(row, pivots, lookup=None) -> dict:
     """The remainder of the row after eliminating, lead by lead, every leading
-    column that has a pivot; a new dict, empty iff the row is in their span."""
+    column that has a pivot; a new dict, empty iff the row is in their span.
+    A lead with no pivot in `pivots` is passed to `lookup`, if given, which
+    returns its tail or None."""
     row = dict(row)
     while row:
         lead = min(row)
         tail = pivots.get(lead)
+        if tail is None and lookup is not None:
+            tail = lookup(lead)
         if tail is None:
             return row
         factor = row.pop(lead)

@@ -172,6 +172,44 @@ def test_pivots_span_the_rows_in_tail_form(time_limit, rows):
     assert rows == copies
 
 
+def test_reduce_asks_the_lookup_only_on_a_miss():
+    # lead 0 has a pivot; the lookup derives and stores the pivot at 1, so
+    # the second reduction finds it in the set, and it has none at 2
+    pivots, asked = {0: {1: ONE}}, []
+
+    def lookup(lead):
+        asked.append(lead)
+        if lead != 1:
+            return None
+        tail = pivots[1] = {2: -ONE}
+        return tail
+    assert linalg.reduce({0: ONE}, {0: {1: ONE}}) == {1: ONE}
+    assert linalg.reduce({0: ONE}, pivots, lookup) == {2: -ONE}
+    assert asked == [1, 2]
+    assert linalg.reduce({0: ONE, 1: ONE}, pivots, lookup) == {2: -(ONE + ONE)}
+    assert asked == [1, 2, 2]
+
+
+@_KERNEL_SETTINGS
+@given(sparse_rows(), st.data())
+def test_a_lookup_stands_in_for_the_pivots_it_derives(time_limit, rows, data):
+    # with part of a pivot set held and the rest derived by a lookup, every
+    # remainder is the one the whole set gives, with or without lookup=None
+    pivots = {}
+    with time_limit(5):
+        for row in rows:
+            linalg.insert_pivot(row, pivots)
+        held = {lead: tail for lead, tail in pivots.items() if data.draw(st.booleans())}
+
+        def lookup(lead):
+            assert lead not in held
+            return pivots.get(lead)
+        for row in rows + [{j: ONE for j in range(3)}]:
+            remainder = linalg.reduce(row, pivots)
+            assert linalg.reduce(row, pivots, None) == remainder
+            assert linalg.reduce(row, held, lookup) == remainder
+
+
 @_KERNEL_SETTINGS
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.one_of(st.just(ZERO), nonzero), min_size=n, max_size=n),

@@ -331,6 +331,78 @@ def test_elimination_oracle_has_the_rank_of_every_row_in_degree_6(time_limit):
                     == _unpruned_dimension(system, 6))
 
 
+def _column(word, n):
+    """The oracle's column of a word: words of one length numbered from the
+    largest down."""
+    return sum((n - 1 - letter) * n ** i for i, letter in enumerate(reversed(word)))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(_rule_subsets, st.permutations(range(6))),
+    st.tuples(_random_rules, st.permutations(range(4)))).filter(
+    lambda drawn: drawn[1] != sorted(drawn[1])))
+def test_elimination_oracle_answers_in_any_order_as_a_cold_call(time_limit, drawn):
+    # the system keeps the oracle's state between calls; asked in any order,
+    # a lower degree after a higher one included, each answer is that of a
+    # call on a fresh system (random coefficients up to degree 3 only, as
+    # they make degree 4 slow)
+    rules, order = drawn
+    system = ReductionSystem(_ALGEBRA.alphabet, rules)
+    with time_limit(10):
+        for degree in order:
+            cold = quotient_dimension_by_elimination(ReductionSystem(_ALGEBRA.alphabet, rules),
+                                                     degree)
+            assert quotient_dimension_by_elimination(system, degree) == cold
+
+
+def test_elimination_oracle_keeps_only_made_pivots_up_to_degree_8(time_limit):
+    # the kept state holds the pivots that reduction made in the top degree,
+    # at irreducible words only, so never more than there are of them; both
+    # systems have none of length 7, and degree 8 is as cheap as degree 7
+    n = len(_ALGEBRA.alphabet)
+    for rules in _RULE_SETS:
+        system = ReductionSystem(_ALGEBRA.alphabet, rules)
+        with time_limit(5):
+            for degree in range(2, 9):
+                quotient_dimension_by_elimination(system, degree)
+                irreducible = {_column(w, n) for w in system.irreducible_words(degree)}
+                assert set(system._echelon.made) <= irreducible
+            assert quotient_dimension_by_elimination(system, 8) == 0
+        assert not system._echelon.made
+
+
+def test_elimination_oracle_derives_rule_placements_as_raw_pivots(monkeypatch):
+    # every pivot the oracle's lookup derives at a word is a placement
+    # u*(lhs - rhs)*v of a rule, in tail form the rhs placed, and it derives
+    # none at an irreducible word; the oracle extends one degree per call
+    derived = []
+
+    def reduce(row, pivots, lookup=None):
+        def recorded(lead):
+            tail = lookup(lead)
+            derived.append((lead, tail))
+            return tail
+        return linalg_reduce(row, pivots, recorded)
+    linalg_reduce = linalg.reduce
+    monkeypatch.setattr(linalg, "reduce", reduce)
+    n = len(_ALGEBRA.alphabet)
+    for rules in _RULE_SETS:
+        system = ReductionSystem(_ALGEBRA.alphabet, rules)
+        for degree in range(2, 7):
+            derived.clear()
+            quotient_dimension_by_elimination(system, degree)
+            words = {_column(w, n): w for w in itertools.product(range(n), repeat=degree)}
+            for lead, tail in derived:
+                word = words[lead]
+                placements = [{_column(word[:p] + v + word[p + 2:], n): c
+                               for v, c in system.rule_for(word[p:p + 2]).rhs.terms.items()}
+                              for p in range(degree - 1) if system.rule_for(word[p:p + 2])]
+                assert tail in placements if placements else tail is None
+            assert derived or degree < 3
+
+
 def _specialized_rank(system, qval):
     """Degree-3 relation rank with q evaluated at a rational, using plain
     Fraction arithmetic only (independent of the symbolic coefficient code)."""

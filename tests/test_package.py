@@ -46,20 +46,29 @@ def test_benchmark_counters_resolve():
 def test_benchmark_oracle_counters_read_the_oracle():
     # perfbench/ops.py counts the oracle's rows and pivots by profiling its
     # row-building comprehension and the comprehension that divides by the
-    # pivot; the oracle builds degree 2 up to k, one row u*(lhs - rhs) per
-    # rule and irreducible prefix u of length at most k - 2 (1, 6, 15 and
-    # 20 prefixes of lengths 0 to 3), so 21 x 7 = 147, 21 x 22 = 462 and
-    # 21 x 42 = 882 rows in degrees 3, 4 and 5; it divides only the pivots
-    # that reduction makes, irreducible words minus dimension summed over
-    # the degrees: 20 - 16 = 4 in degree 3, 15 - 9 = 6 in degree 4 and
-    # 6 - 2 = 4 in degree 5, so 4, 10 and 14
+    # pivot.  Degree 2 has no row; degree k has one per pivot made in degree
+    # k-1 and letter, and one per overlap a*b*c (the 56 weakly descending
+    # words) and irreducible (strictly ascending) word of length k-2 ending
+    # in a, C(rank a, k-3) of them: 56, 210 and 336 in degrees 3, 4 and 5.
+    # The made pivots are irreducible words minus dimension: 20 - 16 = 4,
+    # 15 - 9 = 6 and 6 - 2 = 4.  One degree at a time on one system, the
+    # increments are 56, 4 x 6 + 210 = 234 and 6 x 6 + 336 = 372 rows, with
+    # 4, 6 and 4 pivots; a cold call on a fresh system builds every degree up
+    # to its own, 56, 290 and 662 rows with 4, 10 and 14 pivots
     ops = _load_benchmark_ops()
-    system = qflag3.flagext.build_relations().system
-    for degree, rows, made in ((3, 147, 4), (4, 462, 10), (5, 882, 14)):
+    bundled = qflag3.flagext.build_relations().system
+
+    def counts(system, degree):
         profiler = cProfile.Profile()
         profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, degree)
-        counts = ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
-        assert counts == {"ncpoly.oracle_rows": rows, "ncpoly.oracle_rank": made}
+        return ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
+    warm = qflag3.ncpoly.ReductionSystem(bundled.alphabet, bundled.rules)
+    for degree, rows, made, cold_rows, cold_made in ((3, 56, 4, 56, 4), (4, 234, 6, 290, 10),
+                                                     (5, 372, 4, 662, 14)):
+        cold = qflag3.ncpoly.ReductionSystem(bundled.alphabet, bundled.rules)
+        assert counts(cold, degree) == {"ncpoly.oracle_rows": cold_rows,
+                                        "ncpoly.oracle_rank": cold_made}
+        assert counts(warm, degree) == {"ncpoly.oracle_rows": rows, "ncpoly.oracle_rank": made}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
