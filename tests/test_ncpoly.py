@@ -377,7 +377,7 @@ def test_elimination_oracle_derives_rule_placements_as_raw_pivots(monkeypatch):
     # every pivot the oracle's lookup derives at a word is a placement
     # u*(lhs - rhs)*v of a rule, in tail form the rhs placed, and it derives
     # none at an irreducible word; the oracle extends one degree per call
-    derived = []
+    derived, linalg_reduce = [], linalg.reduce
 
     def reduce(row, pivots, lookup=None):
         def recorded(lead):
@@ -385,7 +385,6 @@ def test_elimination_oracle_derives_rule_placements_as_raw_pivots(monkeypatch):
             derived.append((lead, tail))
             return tail
         return linalg_reduce(row, pivots, recorded)
-    linalg_reduce = linalg.reduce
     monkeypatch.setattr(linalg, "reduce", reduce)
     n = len(_ALGEBRA.alphabet)
     for rules in _RULE_SETS:
