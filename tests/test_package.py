@@ -46,15 +46,18 @@ def test_benchmark_counters_resolve():
 def test_benchmark_oracle_counters_read_the_oracle():
     # perfbench/ops.py counts the oracle's rows and pivots by profiling its
     # row-building comprehension and the comprehension that divides by the
-    # pivot.  Degree 2 has no row; degree k has one per pivot made in degree
-    # k-1 and letter, and one per overlap a*b*c (the 56 weakly descending
-    # words) and irreducible (strictly ascending) word of length k-2 ending
-    # in a, C(rank a, k-3) of them: 56, 210 and 336 in degrees 3, 4 and 5.
-    # The made pivots are irreducible words minus dimension: 20 - 16 = 4,
-    # 15 - 9 = 6 and 6 - 2 = 4.  One degree at a time on one system, the
-    # increments are 56, 4 x 6 + 210 = 234 and 6 x 6 + 336 = 372 rows, with
-    # 4, 6 and 4 pivots; a cold call on a fresh system builds every degree up
-    # to its own, 56, 290 and 662 rows with 4, 10 and 14 pivots
+    # pivot.  Degree 2 has no row and degree 3 one per overlap a*b*c (the 56
+    # weakly descending words).  Degree k > 3 has one per pivot made in
+    # degree k-1 and letter, and one per overlap that degree 3 left
+    # unresolved and irreducible (strictly ascending) word of length k-2
+    # ending in a, C(rank a, k-3) of them: the 4 unresolved overlaps start
+    # with e_a1 (rank 5) once and e_a2 (rank 3) three times, so 5 + 3 x 3 =
+    # 14 in degree 4 and 10 + 3 x 3 = 19 in degree 5.  The made pivots are
+    # irreducible words minus dimension: 20 - 16 = 4, 15 - 9 = 6 and
+    # 6 - 2 = 4.  One degree at a time on one system, the increments are 56,
+    # 4 x 6 + 14 = 38 and 6 x 6 + 19 = 55 rows, with 4, 6 and 4 pivots; a
+    # cold call on a fresh system builds every degree up to its own, 56, 94
+    # and 149 rows with 4, 10 and 14 pivots
     ops = _load_benchmark_ops()
     bundled = qflag3.flagext.build_relations().system
 
@@ -63,8 +66,8 @@ def test_benchmark_oracle_counters_read_the_oracle():
         profiler.runcall(qflag3.ncpoly.quotient_dimension_by_elimination, system, degree)
         return ops._oracle_rows(pstats.Stats(profiler).stats, qflag3.ncpoly.__file__)
     warm = qflag3.ncpoly.ReductionSystem(bundled.alphabet, bundled.rules)
-    for degree, rows, made, cold_rows, cold_made in ((3, 56, 4, 56, 4), (4, 234, 6, 290, 10),
-                                                     (5, 372, 4, 662, 14)):
+    for degree, rows, made, cold_rows, cold_made in ((3, 56, 4, 56, 4), (4, 38, 6, 94, 10),
+                                                     (5, 55, 4, 149, 14)):
         cold = qflag3.ncpoly.ReductionSystem(bundled.alphabet, bundled.rules)
         assert counts(cold, degree) == {"ncpoly.oracle_rows": cold_rows,
                                         "ncpoly.oracle_rank": cold_made}
