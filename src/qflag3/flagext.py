@@ -114,16 +114,12 @@ def associated_graded() -> ExteriorAlgebra:
 
 def star(algebra: ExteriorAlgebra, poly: NCPolynomial) -> NCPolynomial:
     """Graded star: swap e and f letters, reverse words with the graded sign
-    (-1)^(k(k-1)/2), keep q fixed, then reduce to normal form."""
-    out = NCPolynomial.zero(algebra.alphabet)
-    for word, coeff in poly.terms.items():
-        k = len(word)
-        sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        flipped = tuple(rootdata.STAR[i] for i in reversed(word))
-        out = out + NCPolynomial.monomial(
-            algebra.alphabet, flipped,
-            coeff if sign == 1 else coeff * Coefficient.from_rational(-1))
-    return algebra.system.normal_form(out)
+    (-1)^(k(k-1)/2), keep q fixed, then reduce to normal form.  Distinct
+    words have distinct images, so no two terms meet before the reduction."""
+    image = {tuple(rootdata.STAR[i] for i in reversed(word)):
+             -coeff if len(word) * (len(word) - 1) // 2 % 2 else coeff
+             for word, coeff in poly.terms.items()}
+    return algebra.system.normal_form(NCPolynomial(algebra.alphabet, image))
 
 
 # -- Frobenius structure ---------------------------------------------------------

@@ -276,15 +276,16 @@ class ReductionSystem:
 
 class _Echelon:
     """What `quotient_dimension_by_elimination` keeps of a system between
-    calls, at its top degree k: the dimension of every degree up to k, the
-    irreducible words of length k-1 as (column, last letter), the pivots
-    that reduction made in degree k, and the degree-3 columns of the
-    overlaps whose row reduced to zero there."""
+    calls, at its top degree k, with words in the oracle's relabelled
+    letters: the dimension of every degree up to k, the irreducible words of
+    length k-1, the pivots that reduction made in degree k by their leading
+    word, and the degree-3 words of the overlaps whose row reduced to zero
+    there."""
 
     __slots__ = ("dims", "prefixes", "made", "resolved")
 
     def __init__(self, n):
-        self.dims, self.prefixes, self.made, self.resolved = [1, n], [(0, None)], {}, set()
+        self.dims, self.prefixes, self.made, self.resolved = [1, n], [()], {}, set()
 
 
 def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> int:
@@ -292,10 +293,10 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     the two-sided ideal I that the relations r = lhs - rhs generate, by
     Gaussian elimination independent of the rewrite engine.
 
-    The columns of degree k are its n^k words numbered from the largest
-    down, col(w*x) = n*col(w) + n-1-x, so a row's largest word is its least
-    key, the lead that `linalg` pivots at; every rhs word precedes its lhs,
-    so u*r*v leads with u*lhs*v.  The ideal is generated in degree 2, so
+    The oracle relabels the letters x -> n-1-x and keys every word by itself
+    in the new letters, so a row's largest word is its least key, the lead
+    that `linalg` pivots at; every rhs word precedes its lhs, so u*r*v leads
+    with u*lhs*v.  The ideal is generated in degree 2, so
     I_k = I_{k-1}*V + V^{k-2}*R, and the oracle extends an echelon basis
     of I one degree at a time.  In degree k the basis has two kinds of
     pivot:
@@ -340,13 +341,10 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     The system keeps the top degree's made pivots, its irreducible prefixes,
     the overlaps that resolve and every dimension so far (`_Echelon`), so a
     call reuses the degrees below its own and a call for a lower degree
-    reads the kept dimension.  On the bundled system, one cold call takes
-    5.5-5.7 ms of CPU for degree 5, 6.5-8.3 ms for degree 6, 7.0-7.2 ms for
-    degree 7 and 7.3-8.6 ms for degree 8, and adds 0.12 MB to the peak
-    resident set (2.1 GHz Xeon, Python 3.11): it reduces 149 rows up to
-    degree 5 and 198 up to degree 8.  The graded system resolves every
-    overlap and makes no pivot in degree 3, so it reduces no row above
-    degree 3.
+    reads the kept dimension.  The bundled system reduces 149 rows up to
+    degree 5 and 198 up to degree 8 (README.md gives the times).  The graded
+    system resolves every overlap and makes no pivot in degree 3, so it
+    reduces no row above degree 3.
 
     The rank does not depend on the order in which the rows are reduced, but
     the time does: they are taken in ascending order of their leading word.
@@ -363,74 +361,66 @@ def quotient_dimension_by_elimination(system: ReductionSystem, degree: int) -> i
     n, state = len(system.alphabet), system._echelon
     if degree < len(state.dims):
         return state.dims[degree]
+    minus_one = -ONE
+    # each rule's rhs by the letters a, b of its lhs a*b, all relabelled;
+    # built with dict(), as a profile counts this function's dict
+    # comprehensions as the rows it builds and the pivots it divides
+    relations = [{} for _ in range(n)]
+    for rule in system.rules:
+        a, b = (n - 1 - x for x in rule.lhs)
+        relations[a][b] = dict((tuple(n - 1 - x for x in w), c)
+                               for w, c in rule.rhs.terms.items())
 
-    def col(word):
-        return n * (n - 1 - word[0]) + n - 1 - word[1]
-
-    nn, minus_one = n * n, -ONE
-    # each rule's rhs on the columns of degree 2, by its lhs's column; built
-    # with dict(), as a profile counts this function's dict comprehensions
-    # as the rows it builds and the pivots it divides
-    relations = dict((col(rule.lhs), dict((col(w), c) for w, c in rule.rhs.terms.items()))
-                     for rule in system.rules)
-    lhs_pairs = {rule.lhs for rule in system.rules}
-    # each overlap a*b*c by a, as the column of b*c and the placement that is
-    # not the raw pivot: (rhs, stride, lhs column times stride)
-    overlaps = {}
-    for a, b in lhs_pairs:
-        for b2, c in lhs_pairs:
-            if b2 == b:
-                left, right = col((a, b)), col((b, c))
-                row = ((relations[left], n, left * n)
-                       if len(relations[right]) < len(relations[left])
-                       else (relations[right], 1, right))
-                overlaps.setdefault(a, []).append((right, row))
+    def raw_place(word):
+        """The position of the rule that the raw pivot at a word places; None
+        if the word is irreducible."""
+        for p in range(len(word) - 1):
+            rhs = relations[word[p]].get(word[p + 1])
+            if rhs is not None:
+                right = relations[word[p + 1]].get(word[p + 2]) if p + 2 < len(word) else None
+                return p + 1 if right is not None and len(right) < len(rhs) else p
+        return None
 
     for k in range(len(state.dims), degree + 1):
         pivots = {}
-        powers = [n ** e for e in range(k - 2, -1, -1)]
 
-        def raw_pivot(key):
-            """The tail of the raw pivot at the word with this key, stored in
-            this degree's pivots; None if the word is irreducible.  A rule at
-            position p spans the digits of n^(k-p-2) and n^(k-p-1) in the key."""
-            for place in powers:
-                lhs = key // place % nn
-                if lhs in relations:
-                    break
-            else:
+        def raw_pivot(word):
+            """The tail of the raw pivot at a word, stored in this degree's
+            pivots; None if the word is irreducible."""
+            p = raw_place(word)
+            if p is None:
                 return None
-            if place >= n:
-                right = key // (place // n) % nn
-                if right in relations and len(relations[right]) < len(relations[lhs]):
-                    lhs, place = right, place // n
-            offset = key - lhs * place
-            tail = pivots[key] = {place * j + offset: c for j, c in relations[lhs].items()}
+            head, foot, rhs = word[:p], word[p + 2:], relations[word[p]][word[p + 1]]
+            tail = pivots[word] = {head + v + foot: c for v, c in rhs.items()}
             return tail
 
-        # each row as (lead, rhs or made tail, stride, offset): its tail maps
-        # column j of the rhs or tail to stride*j + offset
-        rows = [(n * lead + s, tail, n, s) for lead, tail in state.made.items() for s in range(n)]
-        for base, last in state.prefixes:
-            for low, (rhs, stride, shift) in overlaps.get(last, ()):
-                if nn * (n - 1 - last) + low not in state.resolved:
-                    lead = nn * base + low
-                    rows.append((lead, rhs, stride, lead - shift))
+        # each row as (lead, rhs or made tail, head, foot): its tail has each
+        # word v of the rhs or tail at head*v*foot
+        rows = [(lead + (s,), tail, (), (s,))
+                for lead, tail in state.made.items() for s in range(n)]
+        for u in state.prefixes:
+            for b in relations[u[-1]] if u else ():
+                for c in relations[b]:
+                    if (u[-1], b, c) not in state.resolved:
+                        lead, p = u + (b, c), len(u) - 1
+                        if raw_place(lead) == p:  # the row is the other one
+                            p += 1
+                        rhs = relations[lead[p]][lead[p + 1]]
+                        rows.append((lead, rhs, lead[:p], lead[p + 2:]))
         rows.sort(key=lambda item: item[0], reverse=True)  # ascending leading word
         made = {}
-        for lead, source, stride, offset in rows:
-            tail = {stride * j + offset: c for j, c in source.items()}
+        for lead, source, head, foot in rows:
+            tail = {head + v + foot: c for v, c in source.items()}
             tail[lead] = minus_one
             row = linalg.reduce(tail, pivots, raw_pivot)
             if row:  # an empty remainder is a dependent row
                 lead = min(row)
                 scale = -row.pop(lead)
-                pivots[lead] = made[lead] = {j: c / scale for j, c in row.items()}
+                pivots[lead] = made[lead] = {w: c / scale for w, c in row.items()}
             elif k == 3:  # the overlap at this word resolves
                 state.resolved.add(lead)
-        prefixes = [(n * base + n - 1 - x, x) for base, last in state.prefixes for x in range(n)
-                    if (last, x) not in lhs_pairs]
-        irreducible = sum(1 for _, last in prefixes for x in range(n) if (last, x) not in lhs_pairs)
-        state.dims.append(irreducible - len(made))
+        prefixes = [u + (x,) for u in state.prefixes for x in range(n)
+                    if not u or x not in relations[u[-1]]]
+        state.dims.append(sum(n - len(relations[u[-1]]) for u in prefixes) - len(made))
         state.prefixes, state.made = prefixes, made
     return state.dims[degree]

@@ -354,10 +354,10 @@ def test_elimination_oracle_has_the_rank_of_every_row_in_degree_6(time_limit):
                     == _unpruned_dimension(system, 6))
 
 
-def _column(word, n):
-    """The oracle's column of a word: words of one length numbered from the
-    largest down."""
-    return sum((n - 1 - letter) * n ** i for i, letter in enumerate(reversed(word)))
+def _relabelled(word):
+    """A word in the oracle's letters, x -> 5 - x, so that the largest word of
+    a length is the least; the map is its own inverse."""
+    return tuple(5 - letter for letter in word)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
@@ -384,13 +384,12 @@ def test_elimination_oracle_keeps_only_made_pivots_up_to_degree_8(time_limit):
     # the kept state holds the pivots that reduction made in the top degree,
     # at irreducible words only, so never more than there are of them; both
     # systems have none of length 7, and degree 8 is as cheap as degree 7
-    n = len(_ALGEBRA.alphabet)
     for rules in _RULE_SETS:
         system = ReductionSystem(_ALGEBRA.alphabet, rules)
         with time_limit(5):
             for degree in range(2, 9):
                 quotient_dimension_by_elimination(system, degree)
-                irreducible = {_column(w, n) for w in system.irreducible_words(degree)}
+                irreducible = {_relabelled(w) for w in system.irreducible_words(degree)}
                 assert set(system._echelon.made) <= irreducible
             assert quotient_dimension_by_elimination(system, 8) == 0
         assert not system._echelon.made
@@ -409,16 +408,16 @@ def test_elimination_oracle_derives_rule_placements_as_raw_pivots(monkeypatch):
             return tail
         return linalg_reduce(row, pivots, recorded)
     monkeypatch.setattr(linalg, "reduce", reduce)
-    n, derived_in = len(_ALGEBRA.alphabet), []
+    derived_in = []
     for index, rules in enumerate(_RULE_SETS):
         system = ReductionSystem(_ALGEBRA.alphabet, rules)
         for degree in range(2, 7):
             derived.clear()
             quotient_dimension_by_elimination(system, degree)
-            words = {_column(w, n): w for w in itertools.product(range(n), repeat=degree)}
             for lead, tail in derived:
-                word = words[lead]
-                placements = [{_column(word[:p] + v + word[p + 2:], n): c
+                word = _relabelled(lead)
+                assert len(word) == degree and set(word) <= set(range(6))
+                placements = [{_relabelled(word[:p] + v + word[p + 2:]): c
                                for v, c in system.rule_for(word[p:p + 2]).rhs.terms.items()}
                               for p in range(degree - 1) if system.rule_for(word[p:p + 2])]
                 assert tail in placements if placements else tail is None
@@ -435,7 +434,6 @@ def test_elimination_oracle_leaves_unresolved_the_overlaps_confluence_fails():
     # own pivots, and the rewrite engine by comparing two normal forms; the
     # two agree: the bundled system leaves the 4 overlaps through e_a2.f_a2
     # unresolved, and its associated graded system none
-    n = len(_ALGEBRA.alphabet)
     for rules, unresolved in ((_RULE_SETS[0], ["e_a1.e_a2.f_a2", "e_a2.e_a2.f_a2",
                                                "e_a2.f_a1.f_a2", "e_a2.f_a2.f_a2"]),
                               (_RULE_SETS[1], [])):
@@ -444,9 +442,49 @@ def test_elimination_oracle_leaves_unresolved_the_overlaps_confluence_fails():
         overlaps = [triple for triple, _, _ in system.overlap_ambiguities()]
         assert len(overlaps) == 56
         assert sorted(_ALGEBRA.alphabet.render_word(triple) for triple in overlaps
-                      if _column(triple, n) not in system._echelon.resolved) == unresolved
+                      if _relabelled(triple) not in system._echelon.resolved) == unresolved
         assert sorted(check.id.split(":")[1] for check in
                       system.confluence_check().failures()) == unresolved
+
+
+def test_elimination_oracle_never_calls_the_rewrite_engine(monkeypatch, time_limit):
+    # the oracle reads only the rules and the alphabet size, so its series
+    # is the algebra's whatever the rewrite engine computes
+    def engine(*args, **kwargs):
+        raise AssertionError("the oracle called the rewrite engine")
+    for name in ("_nf_word", "normal_form", "irreducible_words", "hilbert_series",
+                 "overlap_ambiguities", "resolve_ambiguity", "confluence_check", "rule_for"):
+        monkeypatch.setattr(ReductionSystem, name, engine)
+    for rules, series in ((_RULE_SETS[0], [1, 6, 15, 16, 9, 2, 0, 0, 0]),
+                          (_RULE_SETS[1], [1, 6, 15, 20, 15, 6, 1, 0, 0])):
+        system = ReductionSystem(_ALGEBRA.alphabet, rules)
+        with time_limit(5):
+            assert [quotient_dimension_by_elimination(system, k) for k in range(9)] == series
+
+
+def test_elimination_oracle_keeps_its_echelon_state_as_words(time_limit):
+    # in degree 3 the bundled system makes its 4 pivots at the 4 words the
+    # ideal kills; in every degree each kept pivot's tail has words of its
+    # lead's length below its lead, the prefixes are the irreducible words
+    # one letter shorter, and the resolved overlaps are degree-3 words
+    render = _ALGEBRA.alphabet.render_word
+    system = ReductionSystem(_ALGEBRA.alphabet, _RULE_SETS[0])
+    quotient_dimension_by_elimination(system, 3)
+    assert sorted(render(_relabelled(lead)) for lead in system._echelon.made) == [
+        "f_a12.e_a12.e_a1", "f_a12.e_a2.e_a12", "f_a12.f_a1.e_a12", "f_a2.f_a12.e_a12"]
+    for rules in _RULE_SETS:
+        system = ReductionSystem(_ALGEBRA.alphabet, rules)
+        with time_limit(5):
+            for degree in range(2, 9):
+                quotient_dimension_by_elimination(system, degree)
+                state = system._echelon
+                for lead, tail in state.made.items():
+                    assert len(lead) == degree
+                    assert all(len(w) == degree and _relabelled(w) < _relabelled(lead)
+                               for w in tail)
+                assert (sorted(_relabelled(u) for u in state.prefixes)
+                        == system.irreducible_words(degree - 1))
+                assert all(len(w) == 3 for w in state.resolved)
 
 
 def _specialized_rank(system, qval):
