@@ -160,11 +160,12 @@ def _normal_form(factors):
 def _member_states(*names):
     """The product of the named members as a sum of states, (state,
     LaurentPoly coefficient) with equal states added: the normal forms of the
-    concatenated words of every choice of one term per member."""
+    concatenated words of every choice of one term per member.  Every member
+    coefficient must lie in Z[q, q^-1], that is, have denominator 1."""
     summed = {}
     for terms in product(*(MEMBERS[name] for name in names)):
         if any(c.den.terms != {0: 1} for c, _ in terms):
-            raise ValueError("a coefficient of %s is not in Q[q, q^-1]" % " ".join(names))
+            raise ValueError("a coefficient of %s is not in Z[q, q^-1]" % " ".join(names))
         tokens = " ".join(word for _, word in terms).split()
         exp, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in tokens])
         value = prod((c.num for c, _ in terms), start=_L_ONE.shift(exp))

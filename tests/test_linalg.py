@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -61,11 +62,25 @@ def test_degree_3_ideal_rank_matches_the_oracle(time_limit):
         assert linalg.rank(_degree_3_ideal_rows(associated_graded().system)) == 196
 
 
+def _cleared(values):
+    """A Laurent polynomial with Fraction term values as (integer polynomial,
+    positive int d): its values times d, the lcm of their denominators."""
+    lcm = math.lcm(*(value.denominator for value in values.values()))
+    return LaurentPoly({exp: value * lcm for exp, value in values.items()}), lcm
+
+
+def _over(num, den):
+    """The Coefficient num / den of two cleared polynomials (p, a) and (r, b):
+    (p/a) / (r/b) = (b*p) / (a*r)."""
+    (p, a), (r, b) = num, den
+    return Coefficient(p * LaurentPoly({0: b}), r * LaurentPoly({0: a}))
+
+
 def _rational_function(rng):
     """p/r with 1-3 terms each, exponents in [-3, 3] and values n/d, |n| <= 12, d <= 3."""
     p, r = ({rng.randint(-3, 3): Fraction(rng.randint(-12, 12) or 1, rng.randint(1, 3))
              for _ in range(rng.randint(1, 3))} for _ in range(2))
-    return Coefficient(LaurentPoly(p), LaurentPoly(r))
+    return _over(_cleared(p), _cleared(r))
 
 
 def test_rank_of_general_rational_function_entries(time_limit):
@@ -82,12 +97,13 @@ def test_rank_of_general_rational_function_entries(time_limit):
 
 # -- Coefficient is a field ----------------------------------------------------
 
+# a Laurent polynomial with rational term values, as _cleared gives it
 laurent = st.dictionaries(
     st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
-    max_size=3).map(LaurentPoly)
-nonzero_laurent = laurent.filter(lambda p: not p.is_zero())
-coefficients = st.builds(Coefficient, laurent, nonzero_laurent)
+    max_size=3).map(_cleared)
+nonzero_laurent = laurent.filter(lambda p: not p[0].is_zero())
+coefficients = st.builds(_over, laurent, nonzero_laurent)
 nonzero = coefficients.filter(lambda c: not c.is_zero())
 
 _SETTINGS = settings(max_examples=50, deadline=None)
@@ -115,8 +131,9 @@ def test_division_inverts_multiplication(a, b):
 @_SETTINGS
 @given(laurent, nonzero_laurent, nonzero_laurent)
 def test_equality_is_cross_multiplication(num, den, factor):
-    a = Coefficient(num, den)
-    assert Coefficient(num * factor, den * factor) == a
+    a = _over(num, den)
+    (p, a_den), (r, b_den), (f, f_den) = num, den, factor
+    assert _over((p * f, a_den * f_den), (r * f, b_den * f_den)) == a
 
 
 @_SETTINGS
@@ -128,11 +145,11 @@ def test_equality_agrees_with_cross_multiplication(a, b):
 @_SETTINGS
 @given(nonzero_laurent, st.fractions(min_value=-5, max_value=5).filter(bool))
 def test_canonical_denominator(den, value):
-    c = Coefficient(LaurentPoly({0: value}), den)
-    assume(not c.den.is_const())
+    c = _over(_cleared({0: value}), den)
+    assume(set(c.den.terms) != {0})
     assert c.den.min_exp() == 0 and c.den.leading_coeff() > 0
-    assert all(x.denominator == 1 for x in c.den.terms.values())
-    assert c == Coefficient.from_rational(Fraction(value)) / Coefficient(den)
+    assert all(type(x) is int for x in c.den.terms.values())
+    assert c == Coefficient.from_rational(Fraction(value)) / _over(den, _cleared({0: 1}))
 
 
 # -- the elimination kernel ------------------------------------------------------
@@ -228,8 +245,8 @@ def test_solve_solves_or_finds_a_rank_deficit(time_limit, system):
 
 
 # -- the stored form of term values ----------------------------------------------
-# A term value is an int when integral and a Fraction only when its denominator
-# is greater than 1; + and * of two coefficients over 1 skip _canonicalize.
+# Every term value is an int, of the numerator and of the denominator alike;
+# + and * of two coefficients over 1 skip _canonicalize.
 
 integer_laurent = st.dictionaries(
     st.integers(-3, 3),
@@ -243,14 +260,13 @@ def _stored_exactly(*values):
     polys = []
     for value in values:
         polys.extend([value.num, value.den] if isinstance(value, Coefficient) else [value])
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for poly in polys for c in poly.terms.values())
+    return all(type(c) is int for poly in polys for c in poly.terms.values())
 
 
 @_SETTINGS
 @given(integer_laurent, integer_laurent)
 def test_laurent_arithmetic_keeps_integral_values_int(p, r):
-    assert _stored_exactly(p + r, p - r, p * r, -p, p.monic(), r.monic(),
+    assert _stored_exactly(p + r, p - r, p * r, -p, p.primitive(), r.primitive(),
                            LaurentPoly.gcd(p, r))
     if not r.is_zero():
         assert _stored_exactly((p * r).divide_exact(r), LaurentPoly.gcd(p * r, r * r))
@@ -293,10 +309,12 @@ def test_division_by_a_unit_equals_the_general_path(a, u):
     assert u / u == ONE and (u / u).den is _LP_ONE
 
 
-def test_monic_divides_a_non_unit_leading_coefficient_exactly():
-    assert LaurentPoly({0: 3, 1: 3}).monic() == LaurentPoly({0: 1, 1: 1})
-    assert LaurentPoly({0: 3, 1: 3}).monic().terms == {0: 1, 1: 1}
-    assert LaurentPoly({0: 1, 1: 3}).monic().terms == {0: Fraction(1, 3), 1: 1}
+def test_primitive_divides_a_non_unit_content_exactly():
+    assert LaurentPoly({0: 3, 1: 3}).primitive() == LaurentPoly({0: 1, 1: 1})
+    assert LaurentPoly({0: 3, 1: 3}).primitive().terms == {0: 1, 1: 1}
+    # a lead that is not the content stays: 1 + 3q is primitive over Z
+    assert LaurentPoly({0: 1, 1: 3}).primitive().terms == {0: 1, 1: 3}
+    assert LaurentPoly({0: -2, 1: -6}).primitive().terms == {0: 1, 1: 3}
 
 
 def test_gcd_of_non_monic_integer_polynomials():

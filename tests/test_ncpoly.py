@@ -283,6 +283,21 @@ _random_rules = st.dictionaries(
                   for lhs, rhs in spec.items()])
 
 
+def _named_calls(time_limit, seconds, *calls):
+    """The values of the calls, each a (function, system, degree), made in
+    order under one time limit of the given seconds; when the limit fires,
+    the TimeoutError names the call it fired in."""
+    values, current = [], None
+    try:
+        with time_limit(seconds):
+            for function, system, degree in calls:
+                current = "%s(system, %d)" % (function.__name__, degree)
+                values.append(function(system, degree))
+    except TimeoutError as error:
+        raise TimeoutError("%s, in %s" % (error, current)) from None
+    return values
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(_rule_subsets, _random_rules))
@@ -291,8 +306,8 @@ def test_elimination_oracle_does_not_depend_on_the_pivot_order(time_limit, rules
     # slice is the same whichever column each row is pivoted at
     system = ReductionSystem(_ALGEBRA.alphabet, rules)
     for degree in (2, 3):
-        with time_limit(2):
-            dimension = quotient_dimension_by_elimination(system, degree)
+        dimension, = _named_calls(time_limit, 2,
+                                  (quotient_dimension_by_elimination, system, degree))
         assert dimension == _smallest_column_dimension(system, degree)
 
 
@@ -340,8 +355,9 @@ def test_elimination_oracle_skips_only_spanned_rows(time_limit, rules):
 def test_elimination_oracle_skips_only_spanned_rows_of_random_rules(time_limit, rules):
     # random coefficients make even the unpruned reference slow beyond degree 4
     system = ReductionSystem(_ALGEBRA.alphabet, rules)
-    with time_limit(3):
-        assert quotient_dimension_by_elimination(system, 4) == _unpruned_dimension(system, 4)
+    oracle, reference = _named_calls(time_limit, 3, (quotient_dimension_by_elimination, system, 4),
+                                     (_unpruned_dimension, system, 4))
+    assert oracle == reference
 
 
 def test_elimination_oracle_has_the_rank_of_every_row_in_degree_6(time_limit):

@@ -19,6 +19,17 @@ def test_every_exported_name_resolves():
         assert hasattr(qflag3, name), name
 
 
+def test_the_cli_starts_without_the_rational_number_modules():
+    # every term value is an int, so importing the CLI loads neither fractions
+    # nor the decimal and numbers modules that fractions imports
+    code = ("import sys, qflag3.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def _load_benchmark_ops():
     spec = importlib.util.spec_from_file_location(
         "perfbench_ops", ROOT / "perfbench" / "ops.py")

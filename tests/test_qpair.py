@@ -271,9 +271,12 @@ def test_a_k_diagonal_entry_off_the_powers_of_q_is_rejected(fresh_engine, monkey
 
 
 def test_a_member_coefficient_off_the_laurent_ring_is_rejected(fresh_engine, monkeypatch):
-    monkeypatch.setitem(MEMBERS, "E_a2", ((ONE / (ONE + Q(1)), "E2"),))
-    with pytest.raises(ValueError, match=r"^a coefficient of E_a2 is not in Q\[q, q\^-1\]$"):
-        pair("E_a2", u_word((3, 2)))
+    # the states carry integer Laurent polynomials: 1/(1 + q) and 1/2 both
+    # have a denominator other than 1
+    for coeff in (ONE / (ONE + Q(1)), ONE / (ONE + ONE)):
+        monkeypatch.setitem(MEMBERS, "E_a2", ((coeff, "E2"),))
+        with pytest.raises(ValueError, match=r"^a coefficient of E_a2 is not in Z\[q, q\^-1\]$"):
+            pair("E_a2", u_word((3, 2)))
 
 
 def test_pair_examples():

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag3.scalar import Coefficient, LaurentPoly, ONE
 
@@ -101,13 +103,19 @@ def test_float_coefficients_are_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({0: 0.1})
     with pytest.raises(TypeError):
-        LaurentPoly({1: 1, -1: -1}).scale(0.5)
+        LaurentPoly({1: 1, -1: -1}) * LaurentPoly({0: 0.5})
     with pytest.raises(TypeError):
         Coefficient.from_rational(-1.0)
-    assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
+    # term values are integers: a rational constant is a Coefficient's denominator
+    with pytest.raises(TypeError):
+        LaurentPoly({0: Fraction(1, 10)})
+    tenth = Coefficient.from_rational(Fraction(1, 10))
+    assert tenth.num.terms == {0: 1} and tenth.den.terms == {0: 10}
     assert LaurentPoly({0: Fraction(4, 2)}).terms == {0: 2}
-    assert LaurentPoly({1: 1, -1: -1}).scale(Fraction(1, 2)).terms == {
-        1: Fraction(1, 2), -1: Fraction(-1, 2)}
+    assert type(LaurentPoly({0: Fraction(4, 2)}).terms[0]) is int
+    half_nu = NU * Coefficient.from_rational(Fraction(1, 2))
+    assert half_nu.num.terms == {1: 1, -1: -1} and half_nu.den.terms == {0: 2}
+    assert half_nu.render() == "1/2*q - 1/2*q^-1"
 
 
 def test_non_integer_exponents_are_rejected():
@@ -120,24 +128,29 @@ def test_non_integer_exponents_are_rejected():
 
 
 def _random_laurent(rng, zero_ok=False):
-    """One to four terms at exponents in [-4, 3], with Fraction values; zero
-    only when zero_ok."""
+    """One to four terms at exponents in [-4, 3], with values n/d, |n| <= 5
+    and d <= 3, times the lcm of their d: integer values; zero only when
+    zero_ok."""
     while True:
-        poly = LaurentPoly({rng.randint(-4, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                            for _ in range(rng.randint(1, 4))})
+        values = {rng.randint(-4, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 4))}
+        lcm = math.lcm(*(value.denominator for value in values.values()))
+        poly = LaurentPoly({exp: value * lcm for exp, value in values.items()})
         if zero_ok or not poly.is_zero():
             return poly
 
 
 def test_sparse_euclid_on_random_laurent_polynomials():
-    # divide_exact and gcd divide in Q[q] after shifting to exponent 0
+    # divide_exact divides in Z[q, q^-1]; gcd is the primitive gcd in Z[q]
+    # of the polynomials shifted to exponent 0
     rng = random.Random(19)
     zero = LaurentPoly()
     for _ in range(60):
         p, r, s = _random_laurent(rng, zero_ok=True), _random_laurent(rng), _random_laurent(rng)
         assert (p * r).divide_exact(r) == p
-        LaurentPoly.gcd(p * s, r * s).divide_exact(s)  # ValueError unless s divides it
-        assert LaurentPoly.gcd(r, zero) == r.monic() == LaurentPoly.gcd(zero, r)
+        # ValueError unless the primitive part of s divides the gcd
+        LaurentPoly.gcd(p * s, r * s).divide_exact(s.primitive())
+        assert LaurentPoly.gcd(r, zero) == r.primitive() == LaurentPoly.gcd(zero, r)
         assert Coefficient(p * s, r * s) == Coefficient(p, r)
         with pytest.raises(ZeroDivisionError):
             p.divide_exact(zero)
@@ -156,3 +169,65 @@ def test_inexact_division_raises():
         one.divide_exact(q(-3) + one)
     # (q^2 - 1) / (q^-1 - q^-2) = q^2 (q + 1)
     assert (q(2) - one).divide_exact(q(-1) - q(-2)) == q(3) + q(2)
+
+
+
+def test_primitive_part_and_division_in_z():
+    # -6q^-1 + 4q = 2q^-1 (-3 + 2q^2): content 2, lead positive, exponent 0
+    assert LaurentPoly({-1: -6, 1: 4}).primitive().terms == {0: -3, 2: 2}
+    assert LaurentPoly({3: -2}).primitive().terms == {0: 1}
+    assert LaurentPoly({0: 2, 1: 2}).divide_exact(LaurentPoly({0: 2})).terms == {0: 1, 1: 1}
+    # exact in Q[q] but not in Z[q]: a rational constant is never a term value
+    with pytest.raises(ValueError):
+        LaurentPoly({0: 1, 1: 1}).divide_exact(LaurentPoly({0: 2}))
+
+
+# -- the canonical pair and its rendering ---------------------------------------
+
+
+def test_rendering_of_rational_constants_golden():
+    # coefficients of the rules that hypothesis seed 8 draws for the oracle
+    # tests, as the Fraction-valued representation printed them
+    golden = [
+        (rational(-3) * Q(3) / (Q(2) - ONE), "-3*q^3/(q^2 - 1)"),
+        (rational(1, 2) * Q(1), "1/2*q"),
+        (rational(1, 2) * Q(1) - ONE, "1/2*q - 1"),
+        (rational(-3, 2) * Q(2) - Q(1), "-3/2*q^2 - q"),
+        ((rational(2) * Q(1) + Q(-1)) / (Q(2) - ONE), "(2*q + q^-1)/(q^2 - 1)"),
+        (rational(1, 2) / (Q(1) + ONE), "1/2/(q + 1)"),
+        (rational(-4, 6) * NU / (rational(2) * Q(1) + rational(3)), "(-2/3*q + 2/3*q^-1)/(2*q + 3)"),
+    ]
+    for value, text in golden:
+        assert value.render() == text
+    # the rational constants live in the denominator: 1/2*q - 1 is (q - 2)/2
+    half = golden[2][0]
+    assert half.num.terms == {1: 1, 0: -2} and half.den.terms == {0: 2}
+
+
+def _content(poly):
+    return math.gcd(*poly.terms.values())
+
+
+_integer_laurent = st.dictionaries(st.integers(-3, 3), st.integers(-12, 12), max_size=4).map(
+    LaurentPoly)
+_nonzero_integer_laurent = _integer_laurent.filter(lambda p: not p.is_zero())
+_quotients = st.builds(Coefficient, _integer_laurent, _nonzero_integer_laurent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotients, _quotients.filter(lambda c: not c.is_zero()))
+def test_every_result_is_the_canonical_pair(a, b):
+    # num and den coprime in Z[q], contents included; den at exponent 0 with a
+    # positive lead, and the shared denominator 1 whenever it is 1; (a + b) - b
+    # and (a * b) / b bring back a, so their common factors must cancel
+    assert (a + b) - b == a and (a * b) / b == a
+    for c in (a, b, a + b, a - b, a * b, a / b, -a, (a + b) - b, (a * b) / b):
+        num, den = c.num, c.den
+        assert all(type(v) is int for v in (*num.terms.values(), *den.terms.values()))
+        assert den.min_exp() == 0 and den.leading_coeff() > 0
+        if num.is_zero():
+            assert den.terms == {0: 1}
+        else:
+            assert math.gcd(_content(num), _content(den)) == 1
+            assert LaurentPoly.gcd(num, den).terms == {0: 1}
+        assert (den.terms == {0: 1}) == (den is ONE.den)
