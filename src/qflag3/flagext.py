@@ -14,16 +14,6 @@ from .ncpoly import NCPolynomial, ReductionSystem, RewriteRule
 from .report import VerificationReport
 from .scalar import Coefficient, ONE, ZERO
 
-_ROOT_SUFFIX = {rootdata.ALPHA1: "a1", rootdata.ALPHA2: "a2", rootdata.THETA: "a12"}
-
-
-def _e(root):
-    return qpair.COTANGENT_ALPHABET.rank("e_" + _ROOT_SUFFIX[root])
-
-
-def _f(root):
-    return qpair.COTANGENT_ALPHABET.rank("f_" + _ROOT_SUFFIX[root])
-
 
 class ExteriorAlgebra:
     """A reduction system on the cotangent alphabet, with its top word and the
@@ -34,9 +24,9 @@ class ExteriorAlgebra:
         self.system = system
         self.alphabet = system.alphabet
         self.top_word = tuple(range(6))
-        self.reference_word = (
-            _e(rootdata.ALPHA1), _e(rootdata.ALPHA2), _e(rootdata.THETA),
-            _f(rootdata.ALPHA1), _f(rootdata.ALPHA2), _f(rootdata.THETA))
+        e, f = rootdata.E, rootdata.F
+        self.reference_word = (e[rootdata.ALPHA1], e[rootdata.ALPHA2], e[rootdata.THETA],
+                               f[rootdata.ALPHA1], f[rootdata.ALPHA2], f[rootdata.THETA])
         self._ref_coeff = None
 
     def monomial(self, word, coeff=ONE):
@@ -55,11 +45,12 @@ class ExteriorAlgebra:
 def _relation_rules(with_nu_terms: bool):
     """The quadratic rules shared by the full and associated graded algebras.
 
-    Three families: ee/ff swaps with square kills, ef swaps, and (only in the
-    full algebra) the two nu-corrected rules for the simple-root pairs.
+    Two families: ee/ff swaps with square kills, and ef swaps, of which (only
+    in the full algebra) the two for the simple-root pairs carry a nu-correction.
     """
     q = Coefficient.q_power
     nu = Coefficient.nu()
+    e, f, theta = rootdata.E, rootdata.F, rootdata.THETA
     rules = []
 
     def rule(lhs, rhs_terms):
@@ -72,25 +63,17 @@ def _relation_rules(with_nu_terms: bool):
             pairing = rootdata.inner_product(beta, gamma)
             if beta == gamma:
                 # (1 + q^(g,g)) x^2 = 0 with (g,g) = 2, so the square dies
-                rule((_e(gamma), _e(gamma)), {})
-                rule((_f(gamma), _f(gamma)), {})
+                rule((e[gamma], e[gamma]), {})
+                rule((f[gamma], f[gamma]), {})
             else:
-                rule((_e(gamma), _e(beta)),
-                     {(_e(beta), _e(gamma)): -q(pairing)})
-                rule((_f(gamma), _f(beta)),
-                     {(_f(beta), _f(gamma)): -q(-pairing)})
+                rule((e[gamma], e[beta]), {(e[beta], e[gamma]): -q(pairing)})
+                rule((f[gamma], f[beta]), {(f[beta], f[gamma]): -q(-pairing)})
     for gamma in positive:
         for beta in positive:
-            pairing = rootdata.inner_product(beta, gamma)
-            if beta == gamma and gamma != rootdata.THETA:
-                correction = nu if gamma == rootdata.ALPHA2 else -nu
-                terms = {(_f(beta), _e(gamma)): -q(pairing)}
-                if with_nu_terms:
-                    terms[(_f(rootdata.THETA), _e(rootdata.THETA))] = correction
-                rule((_e(gamma), _f(beta)), terms)
-            else:
-                rule((_e(gamma), _f(beta)),
-                     {(_f(beta), _e(gamma)): -q(pairing)})
+            terms = {(f[beta], e[gamma]): -q(rootdata.inner_product(beta, gamma))}
+            if with_nu_terms and beta == gamma != theta:
+                terms[(f[theta], e[theta])] = nu if gamma == rootdata.ALPHA2 else -nu
+            rule((e[gamma], f[beta]), terms)
     return rules
 
 
@@ -299,6 +282,16 @@ def derive_relations_via_omega(algebra: ExteriorAlgebra):
 
 
 # -- classical limit ---------------------------------------------------------------
+
+
+def system_at_one(algebra: ExteriorAlgebra) -> ReductionSystem:
+    """The algebra's rules with every coefficient evaluated at q = 1, so the
+    nu corrections vanish."""
+    return ReductionSystem(algebra.alphabet, [
+        RewriteRule(rule.lhs, NCPolynomial(algebra.alphabet, {
+            word: Coefficient.from_rational(coeff.evaluate_at_one())
+            for word, coeff in rule.rhs.terms.items()}))
+        for rule in algebra.system.rules])
 
 
 def classical_limit_check(algebra: ExteriorAlgebra) -> VerificationReport:

@@ -15,7 +15,6 @@ from .report import VerificationReport
 from .scalar import Coefficient, ZERO
 
 LETTERS = rootdata.LETTERS
-E_LETTERS = ("e_a2", "e_a12", "e_a1")
 
 
 class Foacs:
@@ -76,7 +75,7 @@ def enumerate_foacs():
     return tuple(survivors)
 
 
-STRUCTURE_I = Foacs(frozenset(E_LETTERS))
+STRUCTURE_I = Foacs(LETTERS[k] for k in rootdata.E.values())
 STRUCTURE_II = Foacs(frozenset(("f_a1", "f_a12", "e_a2")))
 
 

@@ -33,9 +33,6 @@ class Alphabet:
     def __len__(self):
         return len(self.letters)
 
-    def rank(self, name: str) -> int:
-        return self._index[name]
-
     def word(self, *names) -> Word:
         return tuple(self._index[name] for name in names)
 

@@ -184,7 +184,6 @@ def _letter_word(state):
                     for row, (col, _) in GENERATORS[letter].items()))
 
 
-@lru_cache(maxsize=None)
 def grade(*names):
     """The grade (weight, distance) of the product of the named members: the
     u_weight and u_distance of each state's letter word.  Raises

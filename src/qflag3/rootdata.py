@@ -1,7 +1,7 @@
 """The A2 root system in epsilon-coordinates: inner products, the positive
-roots in the convex order alpha2 < alpha1+alpha2 < alpha1, and the names of
-the six cotangent letters with their star partners.  The letters' weights are
-read off the generator matrices in ``qpair``.
+roots in the convex order alpha2 < alpha1+alpha2 < alpha1, and the six
+cotangent letters that the order ranks, with their star partners.  The
+letters' weights are read off the generator matrices in ``qpair``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,17 @@ THETA = (1, 0, -1)  # alpha1 + alpha2
 
 # positive roots in convex order induced by the reduced word s2 s1 s2
 POSITIVE_ROOTS = (ALPHA2, THETA, ALPHA1)
+ROOT_NAMES = {ALPHA1: "a1", ALPHA2: "a2", THETA: "a12"}
 
-# letter names of the cotangent alphabet, in rank order; every rule of the
-# exterior algebra is strictly decreasing for this ranking
-LETTERS = ("f_a2", "f_a12", "f_a1", "e_a2", "e_a12", "e_a1")
+# the letter index of f_gamma and of e_gamma: the f letters in convex order,
+# then the e letters; every rule of the exterior algebra is strictly
+# decreasing for this ranking
+F = {root: k for k, root in enumerate(POSITIVE_ROOTS)}
+E = {root: k + len(POSITIVE_ROOTS) for k, root in enumerate(POSITIVE_ROOTS)}
+LETTERS = tuple(kind + "_" + ROOT_NAMES[root]
+                for kind in "fe" for root in POSITIVE_ROOTS)
 # the star partner of each letter, by index: e_gamma <-> f_gamma
-STAR = tuple(LETTERS.index({"e": "f", "f": "e"}[name[0]] + name[1:]) for name in LETTERS)
+STAR = tuple((k + len(POSITIVE_ROOTS)) % len(LETTERS) for k in range(len(LETTERS)))
 
 
 def add(v, w):

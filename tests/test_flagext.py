@@ -1,13 +1,14 @@
 import pytest
 
-from qflag3 import flagext, linalg, qpair
+from qflag3 import flagext, linalg, qpair, suites
 from qflag3.flagext import (associated_graded, build_relations,
                             derive_relations_via_omega, frobenius,
                             frobenius_matrix, integral,
                             is_generalized_permutation, nakayama,
                             nakayama_generator_table,
                             nakayama_is_algebra_morphism, star)
-from qflag3.ncpoly import NCPolynomial, ReductionSystem, RewriteRule
+from qflag3.ncpoly import (NCPolynomial, ReductionSystem, RewriteRule,
+                           quotient_dimension_by_elimination)
 from qflag3.scalar import Coefficient, ONE, ZERO
 
 Q = Coefficient.q_power
@@ -268,3 +269,28 @@ def test_classical_limit_report():
         report = flagext.classical_limit_check(algebra)
         assert [check.id for check in report.failures()] == failing
         assert len(report.checks) == 21
+
+
+def test_the_system_at_q_one_is_confluent_and_classical_sized():
+    # at q = 1 the nu corrections vanish and all 56 overlaps resolve, so the
+    # quotient is the classical exterior algebra; q-generically the oracle
+    # finds 16 dimensions in degree 3, not 20
+    at_one = flagext.system_at_one(build_relations())
+    assert len(at_one.overlap_ambiguities()) == 56
+    assert at_one.confluence_check().overall
+    assert ([quotient_dimension_by_elimination(at_one, k) for k in range(8)]
+            == [1, 6, 15, 20, 15, 6, 1, 0])
+    assert quotient_dimension_by_elimination(build_relations().system, 3) == 16
+    assert all(coeff == -ONE for rule in at_one.rules for coeff in rule.rhs.terms.values())
+
+
+def test_the_dimension_check_at_q_one_reads_the_system_at_q_one(monkeypatch):
+    # q-generically the quotient has 16 dimensions in degree 3, so the check
+    # fails when it is handed the rules before evaluation at q = 1
+    def check():
+        report = suites.suite_classical()
+        return next(c for c in report.checks if c.id == "dimensions-at-q1")
+
+    assert check().passed and check().actual == "[1, 6, 15, 20, 15, 6, 1]"
+    monkeypatch.setattr(flagext, "system_at_one", lambda algebra: algebra.system)
+    assert not check().passed and check().actual.startswith("[1, 6, 15, 16,")

@@ -3,7 +3,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from qflag3 import linalg
 from qflag3.flagext import associated_graded, build_relations
@@ -299,7 +299,10 @@ def _named_calls(time_limit, seconds, *calls):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-@settings(max_examples=40, deadline=None)
+# no shrink phase: a random-rules example that times out fails at once
+# instead of being shrunk through more examples that time out
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.one_of(_rule_subsets, _random_rules))
 def test_elimination_oracle_does_not_depend_on_the_pivot_order(time_limit, rules):
     # any set of decreasing rules is a reduction system; the rank of its ideal
@@ -350,7 +353,8 @@ def test_elimination_oracle_skips_only_spanned_rows(time_limit, rules):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))  # no shrink, as above
 @given(_random_rules)
 def test_elimination_oracle_skips_only_spanned_rows_of_random_rules(time_limit, rules):
     # random coefficients make even the unpruned reference slow beyond degree 4

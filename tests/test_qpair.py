@@ -94,7 +94,7 @@ def test_functional_weights_reject_a_member_of_mixed_weight(monkeypatch):
     qpair._member_states.cache_clear()
     try:
         with pytest.raises(AssertionError, match="E_a2 has no single grade"):
-            grade.__wrapped__("E_a2")
+            grade("E_a2")
     finally:
         qpair._member_states.cache_clear()
 
@@ -116,7 +116,7 @@ def test_functional_distances_reject_a_member_of_mixed_distance(monkeypatch):
     try:
         assert {state_weight(state) for state, _ in qpair._member_states("E_a1")} == {(-1, 1, 0)}
         with pytest.raises(AssertionError, match="E_a1 has no single grade"):
-            grade.__wrapped__("E_a1")
+            grade("E_a1")
     finally:
         qpair._member_states.cache_clear()
 

@@ -1,5 +1,5 @@
 from qflag3 import qpair, rootdata
-from qflag3.rootdata import ALPHA1, ALPHA2, THETA, inner_product
+from qflag3.rootdata import ALPHA1, ALPHA2, E, F, STAR, THETA, inner_product
 
 
 def test_inner_products_match_cartan_matrix():
@@ -44,3 +44,24 @@ def test_column_weights_sum_to_zero_on_flag_generators():
     z2 = qpair.flag_generator(2, 3, 2)
     assert _column_weight(z1 * z2) == (0, 0)
 
+
+
+def test_star_is_a_fixed_point_free_involution_swapping_e_and_f():
+    assert all(STAR[STAR[k]] == k != STAR[k] for k in range(6))
+    for root in rootdata.POSITIVE_ROOTS:
+        assert STAR[E[root]] == F[root]
+
+
+def test_the_convex_order_ranks_the_letters():
+    # the f letters in convex order, then the e letters
+    assert sorted(F.values()) + sorted(E.values()) == list(range(6))
+    assert max(F.values()) < min(E.values())
+    for k, root in enumerate(rootdata.POSITIVE_ROOTS):
+        assert F[root] == k
+        assert rootdata.LETTERS[F[root]] == "f_" + rootdata.ROOT_NAMES[root]
+        assert rootdata.LETTERS[E[root]] == "e_" + rootdata.ROOT_NAMES[root]
+    assert rootdata.LETTERS == ("f_a2", "f_a12", "f_a1", "e_a2", "e_a12", "e_a1")
+
+
+def test_the_cotangent_alphabet_is_the_letters():
+    assert qpair.COTANGENT_ALPHABET.letters == rootdata.LETTERS
