@@ -2,8 +2,8 @@
 relation dumps, and derive coset data for individual flag generators.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails, 2 on
-usage errors and when the report cannot be written (to ``--out`` or to a
-closed standard output).
+usage errors and when the report cannot be written (to ``--out`` or to
+standard output).
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("suite", choices=("all",) + suites.SUITE_NAMES)
+    verify.add_argument("suite", choices=("all",) + tuple(suites._BUILDERS))
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH",
                         help="also write the report to this file")
-    verify.add_argument("--q-at-one", action="store_true",
-                        help="run the classical-limit checks instead")
 
     basis = sub.add_parser("basis", help="print the monomial basis of a degree")
     basis.add_argument("--degree", type=int, required=True)
@@ -37,7 +35,6 @@ def _build_parser():
                        help="use the associated graded system")
 
     relations = sub.add_parser("relations", help="dump the rewrite rules")
-    relations.add_argument("--dump", action="store_true")
     relations.add_argument("--graded", action="store_true")
 
     derive = sub.add_parser("derive", help="apply the coset maps to a generator")
@@ -56,16 +53,7 @@ def _parse_generator(name: str):
 
 
 def _cmd_verify(args) -> int:
-    if args.q_at_one:
-        if args.suite != "all":
-            print("qflag3: --q-at-one runs the classical suite and takes only "
-                  "the suite 'all'", file=sys.stderr)
-            return 2
-        reports = [suites.run_suite("classical")]
-    elif args.suite == "all":
-        reports = suites.run_all()
-    else:
-        reports = [suites.run_suite(args.suite)]
+    reports = suites.run_all() if args.suite == "all" else [suites.run_suite(args.suite)]
     rendered = report.emit(reports, args.format)
     print(rendered)
     if args.out:
@@ -117,12 +105,14 @@ def main(argv=None) -> int:
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away: send the rest of the output, and the flush at
-        # exit, to the null device so that nothing raises again
+    except OSError as exc:
+        # the reader went away or the device is full: send the rest of the
+        # output, and the flush at exit, to the null device so that nothing
+        # raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("qflag3: cannot write the report: standard output is closed",
-              file=sys.stderr)
+        reason = ("standard output is closed" if isinstance(exc, BrokenPipeError)
+                  else exc.strerror or exc)
+        print("qflag3: cannot write the report: %s" % reason, file=sys.stderr)
         return 2
     return code
 

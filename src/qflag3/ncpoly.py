@@ -12,7 +12,7 @@ one, that order decides them (diamond lemma).
 from __future__ import annotations
 
 from . import linalg
-from .report import Check, VerificationReport
+from .report import VerificationReport
 from .scalar import Coefficient, ONE
 
 Word = tuple
@@ -114,9 +114,6 @@ class NCPolynomial:
 
     def __eq__(self, other):
         return isinstance(other, NCPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
@@ -235,18 +232,16 @@ class ReductionSystem:
         return via_left, via_right
 
     def confluence_check(self, citation="") -> VerificationReport:
-        checks = []
+        report = VerificationReport("confluence")
         for triple, left, right in self.overlap_ambiguities():
             via_left, via_right = self.resolve_ambiguity(triple, left, right)
-            checks.append(Check(
-                id="overlap:%s" % self.alphabet.render_word(triple),
-                citation=citation,
-                expected="both reduction orders agree",
-                actual="agree: %s" % via_left.render() if via_left == via_right
-                else "left: %s ; right: %s" % (via_left.render(), via_right.render()),
-                passed=via_left == via_right,
-            ))
-        return VerificationReport("confluence", checks)
+            agree = via_left == via_right
+            report.add("overlap:%s" % self.alphabet.render_word(triple), citation,
+                       "both reduction orders agree",
+                       "agree: %s" % via_left.render() if agree
+                       else "left: %s ; right: %s" % (via_left.render(), via_right.render()),
+                       passed=agree)
+        return report
 
     # -- graded bases ----------------------------------------------------------
 

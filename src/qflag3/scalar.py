@@ -90,9 +90,6 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- division and gcd in Z[q], on dense coefficient lists -----------------
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -287,9 +284,6 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     # -- rendering -----------------------------------------------------------
 

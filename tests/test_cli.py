@@ -1,5 +1,8 @@
+import argparse
+import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from qflag3.report import VerificationReport
 
 CMD = [sys.executable, "-m", "qflag3"]
 RECORDED_REPORT = Path(__file__).parent / "data" / "verify_all.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args, env_extra=None):
@@ -25,14 +29,16 @@ def test_usage_error_exit_code():
     assert run_cli("verify", "bogus").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("derive", "omega", "--generator", "z3_11").returncode == 2
+    # classical is a suite of its own, and relations always dumps the rules
+    assert run_cli("verify", "all", "--q-at-one").returncode == 2
+    assert run_cli("relations", "--dump").returncode == 2
 
 
 def test_own_usage_errors_are_one_prefixed_line():
     for args in (("derive", "omega", "--generator", "z3_11"),
                  ("derive", "coset", "--generator", "z1_41"),
                  ("derive", "omega", "--generator", "x1_11"),
-                 ("basis", "--degree", "-1"),
-                 ("verify", "nakayama", "--q-at-one")):
+                 ("basis", "--degree", "-1")):
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert result.stdout == "", args
@@ -41,7 +47,7 @@ def test_own_usage_errors_are_one_prefixed_line():
 
 
 @pytest.mark.parametrize("args", [("verify", "all", "--format", "json"),
-                                  ("relations", "--dump")])
+                                  ("relations",)])
 def test_closed_stdout_is_an_io_error(args):
     # a large report fails inside print, a short one at the final flush
     proc = subprocess.Popen(CMD + list(args), stdout=subprocess.PIPE,
@@ -51,6 +57,16 @@ def test_closed_stdout_is_an_io_error(args):
     proc.stderr.close()
     assert proc.wait(timeout=300) == 2
     assert stderr == "qflag3: cannot write the report: standard output is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args", [("verify", "kahler"), ("relations",)])
+def test_a_full_stdout_is_an_io_error(args):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(CMD + list(args), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == "qflag3: cannot write the report: %s\n" % os.strerror(errno.ENOSPC)
 
 
 def test_passing_suite_exits_zero():
@@ -161,11 +177,11 @@ def test_basis_listing():
 
 
 def test_relations_dump():
-    result = run_cli("relations", "--dump")
+    result = run_cli("relations")
     lines = result.stdout.strip().splitlines()
     assert len(lines) == 21
     assert "e_a1.e_a2 -> -q^-1*e_a2.e_a1" in lines
-    graded = run_cli("relations", "--dump", "--graded")
+    graded = run_cli("relations", "--graded")
     assert "e_a2.f_a2 -> -q^2*f_a2.e_a2" in graded.stdout.splitlines()
 
 
@@ -177,8 +193,8 @@ def test_derive_subcommands():
     assert cos.stdout.strip() == "-q*e_a2"
 
 
-def test_q_at_one_flag():
-    result = run_cli("verify", "all", "--q-at-one", "--format", "json")
+def test_verify_classical_runs_the_classical_suite():
+    result = run_cli("verify", "classical", "--format", "json")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["suite"] == "classical"
@@ -220,9 +236,9 @@ def test_recorded_report_matches_the_benchmark_known_answers():
 
 @pytest.mark.parametrize("name, args, code", [
     ("verify_all", ("verify", "all"), 1),
-    ("verify_all_q_at_one_json", ("verify", "all", "--q-at-one", "--format", "json"), 0),
-    ("relations_dump", ("relations", "--dump"), 0),
-    ("relations_dump_graded", ("relations", "--dump", "--graded"), 0),
+    ("verify_classical_json", ("verify", "classical", "--format", "json"), 0),
+    ("relations_dump", ("relations",), 0),
+    ("relations_dump_graded", ("relations", "--graded"), 0),
     ("derive_omega_z1_22", ("derive", "omega", "--generator", "z1_22"), 0),
     ("derive_coset_z2_32", ("derive", "coset", "--generator", "z2_32"), 0),
 ])
@@ -231,3 +247,32 @@ def test_cli_output_matches_recording(name, args, code):
     recorded = RECORDED_REPORT.parent / ("cli_%s.txt" % name)
     assert result.stdout == recorded.read_text(encoding="utf-8")
     assert result.returncode == code
+
+
+def _readme_commands():
+    """The argument lists of the qflag3 lines in README's "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("qflag3 ")]
+
+
+def test_the_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        cli._build_parser().parse_args(argv)
+
+
+def test_the_readme_shows_every_subcommand_and_option():
+    commands = _readme_commands()
+    subparsers, = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, subparser in subparsers.choices.items():
+        lines = [argv for argv in commands if argv[0] == name]
+        assert lines, name
+        shown = {word for argv in lines for word in argv}
+        for action in subparser._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert option in shown, (name, option)
