@@ -26,8 +26,8 @@ samples = [
     ("e_a2", "f_a2"),
 ]
 for left, right in samples:
-    product = algebra.system.multiply(algebra.monomial(word(left)),
-                                      algebra.monomial(word(right)))
+    product = algebra.system.normal_form(algebra.monomial(word(left))
+                                         * algebra.monomial(word(right)))
     print("  %s ^ %s = %s" % (left, right, product.render()))
 
 print("\n== worked overlap: e_a1.e_a2.f_a1 ==")

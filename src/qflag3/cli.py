@@ -16,8 +16,16 @@ import sys
 from . import flagext, qpair, report, suites
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line, ``qflag3: <message>``, and exit status 2;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, "qflag3: %s\n" % message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qflag3",
         description="exact verification suites for the quantum exterior "
                     "algebra of the full quantum flag manifold of SU_q(3)")

@@ -118,10 +118,6 @@ def integral(algebra: ExteriorAlgebra, poly: NCPolynomial) -> Coefficient:
     return top / algebra.reference_coefficient()
 
 
-def frobenius(algebra: ExteriorAlgebra, x: NCPolynomial, y: NCPolynomial) -> Coefficient:
-    return integral(algebra, x * y)
-
-
 def frobenius_matrix(algebra: ExteriorAlgebra, degree: int):
     """Pairing matrix of V^k x V^(6-k), rows and columns in basis order."""
     rows = algebra.system.irreducible_words(degree)

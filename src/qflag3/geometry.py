@@ -257,7 +257,7 @@ def kahler_cube():
     """
     algebra = flagext.build_relations()
     words = [algebra.alphabet.word(*pair) for pair in COINVARIANT_2FORMS]
-    zero = NCPolynomial.zero(algebra.alphabet)
+    zero = NCPolynomial(algebra.alphabet)
     sums = {}
     for factors in product(range(3), repeat=3):
         exps = tuple(factors.count(k) for k in range(3))
@@ -279,7 +279,7 @@ def cube_at(cube, values) -> Coefficient:
     values = [Coefficient.from_rational(value) for value in values]
     total = ZERO
     for exps, coeff in cube.items():
-        for value, exp in zip(values, exps):
+        for value, exp in zip(values, exps, strict=True):
             for _ in range(exp):
                 coeff = coeff * value
         total = total + coeff

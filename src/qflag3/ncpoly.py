@@ -67,10 +67,6 @@ class NCPolynomial:
         self.terms = clean
 
     @staticmethod
-    def zero(alphabet):
-        return NCPolynomial(alphabet)
-
-    @staticmethod
     def monomial(alphabet, word, coeff=ONE):
         return NCPolynomial(alphabet, {tuple(word): coeff})
 
@@ -106,7 +102,7 @@ class NCPolynomial:
 
     def scale(self, coeff: Coefficient):
         if coeff.is_zero():
-            return NCPolynomial.zero(self.alphabet)
+            return NCPolynomial(self.alphabet)
         result = NCPolynomial.__new__(NCPolynomial)
         result.alphabet = self.alphabet
         result.terms = {w: c * coeff for w, c in self.terms.items()}
@@ -205,9 +201,6 @@ class ReductionSystem:
             for w, c in self._nf_word(word).items():
                 _add_term(total, w, coeff * c)
         return NCPolynomial(self.alphabet, total)
-
-    def multiply(self, p: NCPolynomial, r: NCPolynomial) -> NCPolynomial:
-        return self.normal_form(p * r)
 
     # -- diamond lemma --------------------------------------------------------
 

@@ -303,10 +303,9 @@ def _pair2_word(x, y, word) -> Coefficient:
 # -- cotangent tensors ----------------------------------------------------------
 
 
-def cotangent(*letters, coeff=ONE) -> NCPolynomial:
-    """The basis tensor l_1 (x) ... (x) l_k of V1^(x)k, times coeff."""
-    return NCPolynomial.monomial(
-        COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters), coeff)
+def cotangent(*letters) -> NCPolynomial:
+    """The basis tensor l_1 (x) ... (x) l_k of V1^(x)k."""
+    return NCPolynomial.monomial(COTANGENT_ALPHABET, COTANGENT_ALPHABET.word(*letters))
 
 
 def _cotangent_map(poly: NCPolynomial, degree: int, pairing) -> NCPolynomial:

@@ -16,16 +16,9 @@ Check = namedtuple("Check", "id citation expected actual passed")
 class VerificationReport:
     """The checks of one suite, in the order they were added."""
 
-    __hash__ = None
-
-    def __init__(self, suite, checks=None):
+    def __init__(self, suite):
         self.suite = suite
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.checks) == (other.suite, other.checks)
+        self.checks = []
 
     def __repr__(self):
         return "VerificationReport(suite=%r, checks=%r)" % (self.suite, self.checks)

@@ -122,11 +122,6 @@ class LaurentPoly:
             a, b = b, _primitive(_pseudo_remainder(a, b))
         return LaurentPoly(dict(enumerate(a)))
 
-    def primitive(self) -> "LaurentPoly":
-        """self over +-content * q^min_exp: content 1, lowest exponent 0 and a
-        positive leading coefficient."""
-        return LaurentPoly(dict(enumerate(_primitive(_dense(self)))))
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, divisor: int = 1) -> str:

@@ -129,9 +129,9 @@ def suite_nakayama() -> VerificationReport:
     left = algebra.monomial(word("e_a1", "e_a2", "e_a12", "f_a2", "f_a12"))
     right = algebra.monomial(word("f_a1",))
     report.add("pairing-worked-forward", "Prop 3.8 proof", "1",
-               flagext.frobenius(algebra, left, right).render())
+               flagext.integral(algebra, left * right).render())
     report.add("pairing-worked-reversed", "Prop 3.8 proof", "-q^-2",
-               flagext.frobenius(algebra, right, left).render())
+               flagext.integral(algebra, right * left).render())
 
     for degree in range(7):
         _, _, matrix = flagext.frobenius_matrix(algebra, degree)

@@ -62,7 +62,7 @@ def _antipode_axiom_defects(states):
     sum_k S(u_ik) u_kj (side "Su") does not pair with the state to delta_ij
     times the state's counit, 1 on a K power and 0 on an E/F letter.  S is
     read from qpair at each call."""
-    u, antipode, zero = qpair.u_monomial, qpair.antipode_word, NCPolynomial.zero(qpair.U_ALPHABET)
+    u, antipode, zero = qpair.u_monomial, qpair.antipode_word, NCPolynomial(qpair.U_ALPHABET)
     defects = []
     for i, j in itertools.product((1, 2, 3), repeat=2):
         sides = {"uS": sum((u((i, k)) * antipode(k, j) for k in (1, 2, 3)), zero),

@@ -38,7 +38,9 @@ def test_own_usage_errors_are_one_prefixed_line():
     for args in (("derive", "omega", "--generator", "z3_11"),
                  ("derive", "coset", "--generator", "z1_41"),
                  ("derive", "omega", "--generator", "x1_11"),
-                 ("basis", "--degree", "-1")):
+                 ("basis", "--degree", "-1"),
+                 ("verify", "bogus"), ("basis",), ("basis", "--degree", "abc"),
+                 ("relations", "--bogus"), ()):
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert result.stdout == "", args

@@ -2,8 +2,8 @@ import pytest
 
 from qflag3 import flagext, linalg, qpair, suites
 from qflag3.flagext import (associated_graded, build_relations,
-                            derive_relations_via_omega, frobenius,
-                            frobenius_matrix, integral,
+                            derive_relations_via_omega, frobenius_matrix,
+                            integral,
                             is_generalized_permutation, nakayama,
                             nakayama_generator_table,
                             nakayama_is_algebra_morphism, star)
@@ -162,12 +162,12 @@ def test_star_is_graded_antimultiplicative():
     word = algebra.alphabet.word
     x = algebra.monomial(word("e_a1"))
     z = algebra.monomial(word("f_a2"))
-    assert star(algebra, algebra.system.multiply(x, z)) == \
+    assert star(algebra, algebra.system.normal_form(x * z)) == \
         algebra.system.normal_form(
             star(algebra, z) * star(algebra, x)).scale(-ONE)
     # k = 1, l = 2 has sign +1 (away from the nu-corrected pairs)
     y = algebra.monomial(word("f_a1", "e_a2"))
-    assert star(algebra, algebra.system.multiply(x, y)) == \
+    assert star(algebra, algebra.system.normal_form(x * y)) == \
         algebra.system.normal_form(star(algebra, y) * star(algebra, x))
 
 
@@ -178,7 +178,7 @@ def test_star_defect_on_nu_products_lies_in_collapsed_directions():
     word = algebra.alphabet.word
     x = algebra.monomial(word("e_a1"))
     y = algebra.monomial(word("e_a2", "f_a2"))
-    lhs = star(algebra, algebra.system.multiply(x, y))
+    lhs = star(algebra, algebra.system.normal_form(x * y))
     rhs = algebra.system.normal_form(star(algebra, y) * star(algebra, x))
     defect = lhs - rhs
     assert set(defect.terms) == {word("f_a12", "f_a1", "e_a12")}
@@ -202,9 +202,9 @@ def test_frobenius_worked_values():
     word = algebra.alphabet.word
     x = algebra.monomial(word("e_a1", "e_a2", "e_a12", "f_a2", "f_a12"))
     y = algebra.monomial(word("f_a1"))
-    assert frobenius(algebra, x, y) == ONE
-    assert frobenius(algebra, y, x) == -Q(-2)
-    assert frobenius(algebra, algebra.monomial(()), x).is_zero()
+    assert integral(algebra, x * y) == ONE
+    assert integral(algebra, y * x) == -Q(-2)
+    assert integral(algebra, algebra.monomial(()) * x).is_zero()
 
 
 def test_nakayama_generator_tables():

@@ -119,6 +119,10 @@ def test_kahler_cube_symbolic():
     assert not cube_at(cube, [1, 1, 1]).is_zero()
     with pytest.raises(TypeError):
         cube_at(cube, (0.1, 1, 1))
+    # one value for each of c1, c2 and c3, no fewer and no more
+    for values in ((1, 1), (1, 1, 1, 5)):
+        with pytest.raises(ValueError):
+            cube_at(cube, values)
 
 
 def test_kahler_cube_numeric_and_classical():

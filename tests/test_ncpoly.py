@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from qflag3 import linalg
-from qflag3.flagext import associated_graded, build_relations
+from qflag3.flagext import _relation_rules, associated_graded, build_relations
 from qflag3.ncpoly import (Alphabet, NCPolynomial, ReductionSystem, RewriteRule,
                            quotient_dimension_by_elimination)
 from qflag3.scalar import Coefficient, LaurentPoly, ONE, ZERO
@@ -61,14 +61,14 @@ def test_multiply_examples():
     word = algebra.alphabet.word
     f_a1 = algebra.monomial(word("f_a1"))
     e_a1 = algebra.monomial(word("e_a1"))
-    assert algebra.system.multiply(f_a1, e_a1) == algebra.monomial(word("f_a1", "e_a1"))
-    assert algebra.system.multiply(e_a1, e_a1).is_zero()
+    assert algebra.system.normal_form(f_a1 * e_a1) == algebra.monomial(word("f_a1", "e_a1"))
+    assert algebra.system.normal_form(e_a1 * e_a1).is_zero()
 
     e_a2 = algebra.monomial(word("e_a2"))
     f_a2 = algebra.monomial(word("f_a2"))
     expected = (algebra.monomial(word("f_a2", "e_a2"), -Q(2))
                 + algebra.monomial(word("f_a12", "e_a12"), Coefficient.nu()))
-    assert algebra.system.multiply(e_a2, f_a2) == expected
+    assert algebra.system.normal_form(e_a2 * f_a2) == expected
 
 
 def test_normal_form_idempotent_and_linear():
@@ -121,9 +121,8 @@ def test_confluent_product_association_independent():
                               {tuple(rng.choice(range(6)) for _ in range(2)): ONE})
                  for _ in range(3)]
         a, b, c = polys
-        left = graded.system.multiply(graded.system.multiply(a, b), c)
-        right = graded.system.multiply(a, graded.system.multiply(b, c))
-        assert left == right
+        nf = graded.system.normal_form
+        assert nf(nf(a * b) * c) == nf(a * nf(b * c))
 
 
 def test_overlap_ambiguities_trivial_cases():
@@ -465,6 +464,44 @@ def test_elimination_oracle_leaves_unresolved_the_overlaps_confluence_fails():
                       if _relabelled(triple) not in system._echelon.resolved) == unresolved
         assert sorted(check.id.split(":")[1] for check in
                       system.confluence_check().failures()) == unresolved
+
+
+def test_the_nu_term_on_e_a2_f_a2_alone_causes_every_overlap_failure(time_limit):
+    # the full and graded rules share their order, so each nu-term can be put
+    # in alone: the e_a2.f_a2 term alone leaves the bundled system's 4
+    # overlaps unresolved with the same differences, nu^2 times -q,
+    # -(q + q^-1) or -q^2; the e_a1.f_a1 term alone resolves all 56 overlaps
+    full, graded = _relation_rules(True), _relation_rules(False)
+    assert [rule.lhs for rule in full] == [rule.lhs for rule in graded]
+    alphabet = _ALGEBRA.alphabet
+
+    def alone(root):
+        lhs = alphabet.word("e_" + root, "f_" + root)
+        return ReductionSystem(alphabet, [with_nu if with_nu.lhs == lhs else without
+                                          for with_nu, without in zip(full, graded)])
+
+    def differences(system):
+        out = {}
+        for triple, left, right in system.overlap_ambiguities():
+            via_left, via_right = system.resolve_ambiguity(triple, left, right)
+            out[alphabet.render_word(triple)] = via_left - via_right
+        return out
+
+    bundled, a2, a1 = differences(_ALGEBRA.system), alone("a2"), alone("a1")
+    assert len(bundled) == 56 and differences(a2) == bundled
+    nu_squared = Coefficient.nu() * Coefficient.nu()
+    assert {triple: difference.scale(ONE / nu_squared).render()
+            for triple, difference in bundled.items() if not difference.is_zero()} == {
+        "e_a1.e_a2.f_a2": "(-q - q^-1)*f_a12.e_a12.e_a1",
+        "e_a2.e_a2.f_a2": "-q^2*f_a12.e_a2.e_a12",
+        "e_a2.f_a1.f_a2": "(-q - q^-1)*f_a12.f_a1.e_a12",
+        "e_a2.f_a2.f_a2": "-q*f_a2.f_a12.e_a12"}
+    a1_differences = differences(a1)
+    assert len(a1_differences) == 56
+    assert all(difference.is_zero() for difference in a1_differences.values())
+    for system, series in ((a2, [1, 6, 15, 16, 9, 2, 0, 0]), (a1, [1, 6, 15, 20, 15, 6, 1, 0])):
+        with time_limit(5):
+            assert [quotient_dimension_by_elimination(system, k) for k in range(8)] == series
 
 
 def test_elimination_oracle_never_calls_the_rewrite_engine(monkeypatch, time_limit):

@@ -1,9 +1,11 @@
+import ast
 import cProfile
 import importlib.util
 import os
 import pstats
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,26 @@ DEMOS = ("01_exterior_algebra", "02_pairing_engine", "03_geometry_and_kahler")
 def test_every_exported_name_resolves():
     for name in qflag3.__all__:
         assert hasattr(qflag3, name), name
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public function or method that only tests call is API without a
+    # user; star stays for the *-structure tests, and for the suite that is
+    # to check the *-structure
+    defined = set()
+    for path in (ROOT / "src" / "qflag3").glob("*.py"):
+        defined.update(node.name for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+    used = set()
+    for folder in ("src/qflag3", "demos", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            with tokenize.open(path) as handle:
+                previous = None
+                for token in tokenize.generate_tokens(handle.readline):
+                    if token.type == tokenize.NAME and previous != "def":
+                        used.add(token.string)
+                    previous = token.string
+    assert sorted(defined - used) == ["star"]
 
 
 def test_the_cli_starts_without_the_rational_number_modules():

@@ -55,12 +55,9 @@ def test_emit_multiple():
     assert "suite a: pass" in text and "suite b: FAIL" in text
 
 
-def test_reports_compare_and_print_by_suite_and_checks():
-    first, second = VerificationReport("demo"), VerificationReport("demo")
-    for report in (first, second):
-        report.add("alpha", "Thm 0.0", "1", "1")
-    assert first == second
-    assert first != VerificationReport("other", first.checks)
+def test_reports_print_by_suite_and_checks():
+    first = VerificationReport("demo")
+    first.add("alpha", "Thm 0.0", "1", "1")
     assert repr(first) == ("VerificationReport(suite='demo', checks=[Check(id='alpha', "
                            "citation='Thm 0.0', expected='1', actual='1', passed=True)])")
 
