@@ -17,7 +17,8 @@ from .scalar import Coefficient, ONE, ZERO
 
 class ExteriorAlgebra:
     """A reduction system on the cotangent alphabet, with its top word and the
-    reference product that the Frobenius integral normalises."""
+    reference product that the Frobenius integral normalises; it keeps its
+    Frobenius matrices and Nakayama table once they are computed."""
 
     def __init__(self, name, system):
         self.name = name
@@ -28,6 +29,8 @@ class ExteriorAlgebra:
         self.reference_word = (e[rootdata.ALPHA1], e[rootdata.ALPHA2], e[rootdata.THETA],
                                f[rootdata.ALPHA1], f[rootdata.ALPHA2], f[rootdata.THETA])
         self._ref_coeff = None
+        self._frobenius = {}  # degree -> (rows, cols, matrix), kept unchanged
+        self._nakayama = None
 
     def monomial(self, word, coeff=ONE):
         return NCPolynomial.monomial(self.alphabet, word, coeff)
@@ -119,14 +122,15 @@ def integral(algebra: ExteriorAlgebra, poly: NCPolynomial) -> Coefficient:
 
 
 def frobenius_matrix(algebra: ExteriorAlgebra, degree: int):
-    """Pairing matrix of V^k x V^(6-k), rows and columns in basis order."""
-    rows = algebra.system.irreducible_words(degree)
-    cols = algebra.system.irreducible_words(6 - degree)
-    matrix = [
-        [integral(algebra, algebra.monomial(r + c)) for c in cols]
-        for r in rows
-    ]
-    return rows, cols, matrix
+    """Pairing matrix of V^k x V^(6-k), rows and columns in basis order:
+    computed once per algebra and degree, each call given its own copy."""
+    if degree not in algebra._frobenius:
+        rows = algebra.system.irreducible_words(degree)
+        cols = algebra.system.irreducible_words(6 - degree)
+        matrix = [[integral(algebra, algebra.monomial(r + c)) for c in cols] for r in rows]
+        algebra._frobenius[degree] = rows, cols, matrix
+    rows, cols, matrix = algebra._frobenius[degree]
+    return list(rows), list(cols), [list(row) for row in matrix]
 
 
 def is_generalized_permutation(matrix) -> bool:
@@ -162,15 +166,18 @@ def nakayama(algebra: ExteriorAlgebra, degree: int):
 
 
 def nakayama_generator_table(algebra: ExteriorAlgebra):
-    """Eigenvalues of the Nakayama automorphism on the six generators."""
-    table = {}
-    for word, image in nakayama(algebra, 1).items():
-        letter = algebra.alphabet.letters[word[0]]
-        if set(image.terms) != {word}:
-            raise ArithmeticError("Nakayama image of %s is not diagonal: %s"
-                                  % (letter, image.render()))
-        table[letter] = image.terms[word]
-    return table
+    """Eigenvalues of the Nakayama automorphism on the six generators:
+    solved once per algebra, each call given its own copy."""
+    if algebra._nakayama is None:
+        table = {}
+        for word, image in nakayama(algebra, 1).items():
+            letter = algebra.alphabet.letters[word[0]]
+            if set(image.terms) != {word}:
+                raise ArithmeticError("Nakayama image of %s is not diagonal: %s"
+                                      % (letter, image.render()))
+            table[letter] = image.terms[word]
+        algebra._nakayama = table
+    return dict(algebra._nakayama)
 
 
 def nakayama_table_text(algebra: ExteriorAlgebra) -> str:

@@ -170,6 +170,7 @@ class ReductionSystem:
                 raise ValueError("duplicate rule lhs %s" % (rule.lhs,))
             self._by_lhs[rule.lhs] = rule
         self._nf_cache = {}
+        self._words = [[()]]  # irreducible words by degree, up to the first empty one
         self._echelon = _Echelon(len(alphabet))
 
     def rule_for(self, pair):
@@ -240,17 +241,15 @@ class ReductionSystem:
 
     def irreducible_words(self, degree: int):
         """All degree-k words containing no rule lhs, in lexicographic order;
-        none in any degree above the first empty one."""
+        none in any degree above the first empty one.  Each degree is built
+        once, from the one below, and each call gets its own list."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        n = len(self.alphabet)
-        words = [()]
-        for _ in range(degree):
-            words = [word + (letter,) for word in words for letter in range(n)
-                     if not word or (word[-1], letter) not in self._by_lhs]
-            if not words:
-                break
-        return words
+        levels, n = self._words, len(self.alphabet)
+        while len(levels) <= degree and levels[-1]:
+            levels.append([word + (letter,) for word in levels[-1] for letter in range(n)
+                           if not word or (word[-1], letter) not in self._by_lhs])
+        return list(levels[degree]) if degree < len(levels) else []
 
     def hilbert_series(self, max_degree: int):
         return [len(self.irreducible_words(k)) for k in range(max_degree + 1)]

@@ -29,11 +29,12 @@ letter count.  A cotangent letter has the weight of its slot dual
 (``letter_weights``), so e_a1, the coset of u21, has weight e2 - e1.
 ``coset`` and ``omega`` are the one map ``_cotangent_map`` of degree 1 and
 2: it pairs each word only with the products of slot duals of its weight
-whose distance reaches the word's (``duals_by_weight``).  The test runs once
-per word and product, before any pairing: the recursion prunes nothing,
-because a test at each of its nodes costs more than the dead paths it would
-cut.  ``_pair2_cache`` memoises the pairings of products of two members, and
-``_pair_word`` recomputes its values.
+whose distance reaches the word's (``duals_by_weight``); a word beyond the
+largest reach of the degree (``_largest_reach``) is dropped before its weight
+is read.  The test runs once per word and product, before any pairing: the
+recursion prunes nothing, because a test at each of its nodes costs more
+than the dead paths it would cut.  ``_pair2_cache`` memoises the pairings of
+products of two members, and ``_pair_word`` recomputes its values.
 ``omega_by_expansion`` checks omega independently: it walks each word's index
 tuples, stepping the slot duals' single states, reads no grade and keeps
 nothing between calls.
@@ -224,6 +225,13 @@ def duals_by_weight(degree):
     return {weight: tuple(group) for weight, group in groups.items()}
 
 
+@lru_cache(maxsize=None)
+def _largest_reach(degree):
+    """The largest distance of a product of `degree` slot duals: no word
+    farther from the diagonal pairs nonzero with any of them."""
+    return max(reach for group in duals_by_weight(degree).values() for _, _, reach in group)
+
+
 # -- pairing ------------------------------------------------------------------
 
 _pair2_cache = {}
@@ -313,11 +321,14 @@ def _cotangent_map(poly: NCPolynomial, degree: int, pairing) -> NCPolynomial:
     coefficient on the word of slots (s_1, ..., s_k) is the pairing of the
     product of their duals against the input, pairing(*names, word).  Each
     word is paired only with the products of its weight whose distance, their
-    letter count, reaches its own; the others pair to zero with it."""
-    groups = duals_by_weight(degree)
+    letter count, reaches its own; the others pair to zero with it, all of
+    them when its distance exceeds the largest reach."""
+    groups, largest = duals_by_weight(degree), _largest_reach(degree)
     terms = {}
     for word, coeff in poly.terms.items():
         distance = u_distance(word)
+        if distance > largest:
+            continue
         for slots, names, reach in groups.get(u_weight(word), ()):
             if reach >= distance:
                 value = pairing(*names, word)
@@ -427,7 +438,8 @@ def _letter_action():
     is the action on coset(x) for every letter u_ij and every
     counit-corrected word x of length one or two.
     """
-    def coset_of(word):  # as slot -> Coefficient
+    @lru_cache(maxsize=None)
+    def coset_of(word):  # as slot -> Coefficient, once per word; never mutated
         poly = coset(NCPolynomial.monomial(U_ALPHABET, word))
         return {slot: value for (slot,), value in poly.terms.items()}
 
@@ -444,7 +456,7 @@ def _letter_action():
         base = coset_of(word)
         for letter, action in enumerate(actions):
             # x = w - eps(w): coset(x) = coset(w), coset(x u) = coset(w u) - eps(w) coset(u)
-            expected = coset_of((letter,)) if counit_one else {}
+            expected = dict(coset_of((letter,))) if counit_one else {}
             for source, coeff in base.items():
                 for target, value in action[source]:
                     expected[target] = expected.get(target, ZERO) + coeff * value

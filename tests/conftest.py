@@ -1,11 +1,14 @@
 import contextlib
+import importlib
 import itertools
 import os
+import pkgutil
 import signal
 from pathlib import Path
 
 import pytest
 
+import qflag3
 from qflag3 import qpair
 from qflag3.ncpoly import NCPolynomial
 from qflag3.scalar import Coefficient, ONE, ZERO
@@ -82,3 +85,25 @@ def antipode_axiom_defects():
     """The function `antipode_axiom_defects(states)`, shared by the pairing
     tests and the mutation that flips a sign of the antipode."""
     return _antipode_axiom_defects
+
+
+def _clear_caches():
+    """Empty every lru_cache and every module-level dict named *_cache of
+    the package; build_relations() then builds a new algebra and system."""
+    for info in pkgutil.iter_modules(qflag3.__path__):
+        if info.name == "__main__":
+            continue
+        for name, value in vars(importlib.import_module("qflag3." + info.name)).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+            elif isinstance(value, dict) and name.endswith("_cache"):
+                value.clear()
+
+
+@pytest.fixture
+def clean_caches():
+    """Every cache empty before the test and after it; the value is the
+    function that empties them, for a test that clears between two runs."""
+    _clear_caches()
+    yield _clear_caches
+    _clear_caches()

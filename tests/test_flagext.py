@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from qflag3 import flagext, linalg, qpair, suites
@@ -250,6 +252,62 @@ def test_pairing_invertible_everywhere_but_permutation_only_outside_middle():
     for degree in range(7):
         _, _, matrix = frobenius_matrix(graded, degree)
         assert is_generalized_permutation(matrix)
+
+
+def test_a_changed_result_leaves_the_next_call_unchanged():
+    # the tables kept on the algebra and its system are handed out as copies
+    algebra = build_relations()
+    table = nakayama_generator_table(algebra)
+    expected_table = dict(table)
+    table["e_a1"] = ZERO
+    rows, cols, matrix = frobenius_matrix(algebra, 1)
+    expected_matrix = (list(rows), list(cols), [list(row) for row in matrix])
+    rows.append(()), cols.clear(), matrix[0].clear(), matrix.append([])
+    words = algebra.system.irreducible_words(2)
+    expected_words = list(words)
+    words.pop()
+    assert nakayama_generator_table(algebra) == expected_table
+    assert frobenius_matrix(algebra, 1) == expected_matrix
+    assert algebra.system.irreducible_words(2) == expected_words
+
+
+def test_one_run_computes_each_table_once(clean_caches, monkeypatch):
+    # in one run of every suite no Frobenius matrix of an algebra and degree,
+    # no Nakayama solve and no coset of the letter action's check is computed
+    # twice: the integrals are the entries of the matrices requested (998,
+    # where recomputing gave 1,142) and the two worked pairings
+    requested, integrals, solves, cosets = set(), [], Counter(), Counter()
+    matrix, integrate, solve, coset = (flagext.frobenius_matrix, flagext.integral,
+                                       flagext.nakayama, qpair.coset)
+
+    def counted_matrix(algebra, degree):
+        requested.add((algebra, degree))
+        return matrix(algebra, degree)
+
+    def counted_integral(algebra, poly):
+        integrals.append(poly)
+        return integrate(algebra, poly)
+
+    def counted_solve(algebra, degree):
+        solves[algebra.name, degree] += 1
+        return solve(algebra, degree)
+
+    def counted_coset(poly):
+        if len(poly.terms) == 1:
+            cosets[next(iter(poly.terms))] += 1
+        return coset(poly)
+
+    monkeypatch.setattr(flagext, "frobenius_matrix", counted_matrix)
+    monkeypatch.setattr(flagext, "integral", counted_integral)
+    monkeypatch.setattr(flagext, "nakayama", counted_solve)
+    monkeypatch.setattr(qpair, "coset", counted_coset)
+    suites.run_all()
+    sizes = sum(len(algebra.system.irreducible_words(degree))
+                * len(algebra.system.irreducible_words(6 - degree))
+                for algebra, degree in requested)
+    assert len(integrals) == sizes + 2 == 998
+    assert solves and set(solves.values()) == {1}
+    assert len(cosets) == 819 and set(cosets.values()) == {1}
 
 
 def _lost_swap():

@@ -7,43 +7,17 @@ mutation is undone and every cache emptied, a clean run must reproduce the
 recorded report exactly, so no mutated value survives in a cache.
 """
 
-import importlib
 import json
-import pkgutil
 from pathlib import Path
 
 import pytest
 
-import qflag3
 from qflag3 import flagext, qpair, rootdata, suites
 from qflag3.ncpoly import NCPolynomial, RewriteRule
 from qflag3.scalar import Coefficient, ONE
 
 RECORDED_REPORT = Path(__file__).parent / "data" / "verify_all.json"
 Q = Coefficient.q_power
-
-
-def _modules():
-    return [importlib.import_module("qflag3." + info.name)
-            for info in pkgutil.iter_modules(qflag3.__path__)
-            if info.name != "__main__"]
-
-
-def _clear_caches():
-    # every lru_cache and every module-level dict named *_cache
-    for module in _modules():
-        for name, value in vars(module).items():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-            elif isinstance(value, dict) and name.endswith("_cache"):
-                value.clear()
-
-
-@pytest.fixture
-def clean_caches():
-    _clear_caches()
-    yield
-    _clear_caches()
 
 
 def _checks(reports):
@@ -148,7 +122,7 @@ def test_a_mutation_changes_a_check(mutate, clean_caches, time_limit):
     with pytest.MonkeyPatch.context() as patch, time_limit(10):
         mutate(patch)
         mutated = [report.to_json_obj() for report in suites.run_all()]
-    _clear_caches()
+    clean_caches()
     assert [report.to_json_obj() for report in suites.run_all()] == recorded
     expected = _checks(recorded)
     changed = [key for key, value in _checks(mutated).items()

@@ -1,11 +1,12 @@
+import argparse
 import ast
 import cProfile
 import importlib.util
+import json
 import os
 import pstats
 import subprocess
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,22 +24,30 @@ def test_every_exported_name_resolves():
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a public function or method that only tests call is API without a
-    # user; star stays for the *-structure tests, and for the suite that is
-    # to check the *-structure
-    defined = set()
+    # user.  A method counts as called where its name is an attribute (x.m),
+    # a function where its name is a name or an attribute (f, module.f), so
+    # a local variable that shares a method's name does not count.  Two stay
+    # without a caller: star, for the *-structure tests and the suite that
+    # is to check the *-structure, and Coefficient.zero, which
+    # tests/test_acceptance.py calls and that file is not edited
+    methods, functions = set(), set()
     for path in (ROOT / "src" / "qflag3").glob("*.py"):
-        defined.update(node.name for node in ast.walk(ast.parse(path.read_text()))
-                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
-    used = set()
+        tree = ast.parse(path.read_text())
+        in_class = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for node in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                (methods if id(node) in in_class else functions).add(node.name)
+    attributes, names = set(), set()
     for folder in ("src/qflag3", "demos", "perfbench"):
         for path in (ROOT / folder).glob("*.py"):
-            with tokenize.open(path) as handle:
-                previous = None
-                for token in tokenize.generate_tokens(handle.readline):
-                    if token.type == tokenize.NAME and previous != "def":
-                        used.add(token.string)
-                    previous = token.string
-    assert sorted(defined - used) == ["star"]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+    uncalled = (methods - attributes) | (functions - attributes - names)
+    assert sorted(uncalled) == ["star", "zero"]
 
 
 def test_the_cli_starts_without_the_rational_number_modules():
@@ -72,6 +81,37 @@ def test_benchmark_counters_resolve():
     qpair._pair2_cache.clear()
     qpair.omega(qpair.plus_part(qpair.flag_generator(1, 2, 2)))
     assert qpair._pair2_cache
+
+
+def test_benchmark_operations_give_the_known_answers(time_limit):
+    # the three operations perfbench/run.py times, run in this process as
+    # ops.py runs them, each checked against known_answers.json as run.py
+    # checks it, so a change that breaks the benchmark's answers fails here
+    ops = _load_benchmark_ops()
+    known = json.loads((ROOT / "perfbench" / "known_answers.json").read_text())
+    args = argparse.Namespace(max_degree=5, seed=1, crosscheck=40)
+    with time_limit(60):
+        results = {op: (ops.OPS[op](args, spans), spans)
+                   for op, spans in (("verify", ops.Spans()), ("oracle", ops.Spans()),
+                                     ("omega", ops.Spans()))}
+
+    verify, spans = results["verify"]
+    checks = {report["suite"] + "/" + check["id"]: check["pass"]
+              for report in json.loads(verify["stdout"]) for check in report["checks"]}
+    answer = known["verify-cli"]
+    assert verify["exit"] == answer["exit_code"]
+    assert len(checks) == answer["checks"] and sum(checks.values()) == answer["passed"]
+    failing = sorted(name for name, passed in checks.items() if not passed)
+    assert failing == sorted(answer["failing"])
+    assert {"suites.%s_s" % name for name in qflag3.suites.SUITE_NAMES} <= set(spans)
+
+    oracle, spans = results["oracle"]
+    assert oracle == known["oracle-deg5"]
+    assert {"ncpoly.oracle_deg%d_s" % k for k in range(2, 6)} <= set(spans)
+
+    omega, spans = results["omega"]
+    assert omega == known["omega-crosscheck"]
+    assert "qpair.omega_by_expansion_s" in spans
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),

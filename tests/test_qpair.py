@@ -5,7 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflag3 import flagext, geometry, qpair, rootdata
+from qflag3 import flagext, geometry, qpair, rootdata, suites
 from qflag3.ncpoly import NCPolynomial
 from qflag3.qpair import (COTANGENT_ALPHABET, GENERATORS, MEMBERS, U_ALPHABET, _pair2_word,
                           _pair_word, all_flag_generators, antipode_word, coset,
@@ -588,6 +588,61 @@ def test_coset_skips_no_nonzero_pairing():
         assert coset(poly) == expected, poly.render()
         nonzero += not expected.is_zero()
     assert nonzero > 0
+
+
+def _largest_reaches():
+    """The largest distance of a product of one and of two slot duals, read
+    off the member table through grade."""
+    return {degree: max(grade(*names)[1]
+                        for names in itertools.product(qpair.SLOT_DUALS, repeat=degree))
+            for degree in (1, 2)}
+
+
+def test_no_word_beyond_the_largest_reach_is_weighed_or_paired(clean_caches, monkeypatch):
+    # in one run of every suite, coset and omega drop each word farther from
+    # the diagonal than every product of their degree reaches before they
+    # read its weight; no such word reaches the pairing of states
+    largest = _largest_reaches()
+    assert {degree: qpair._largest_reach(degree) for degree in (1, 2)} == largest
+    degree, seen = None, {"dropped": 0, "weighed": [], "paired": []}
+    cotangent_map, weigh, pair_states = qpair._cotangent_map, qpair.u_weight, qpair._pair_states
+
+    def counted_map(poly, k, pairing):
+        nonlocal degree
+        degree = k
+        seen["dropped"] += sum(qpair.u_distance(word) > largest[k] for word in poly.terms)
+        try:
+            return cotangent_map(poly, k, pairing)
+        finally:
+            degree = None
+
+    def counted_weight(word):
+        if degree is not None:
+            seen["weighed"].append((degree, qpair.u_distance(word)))
+        return weigh(word)
+
+    def counted_pairing(states, word):
+        seen["paired"].append((degree, qpair.u_distance(word)))
+        return pair_states(states, word)
+
+    monkeypatch.setattr(qpair, "_cotangent_map", counted_map)
+    monkeypatch.setattr(qpair, "u_weight", counted_weight)
+    monkeypatch.setattr(qpair, "_pair_states", counted_pairing)
+    suites.run_all()
+    assert seen["dropped"] > 0 and seen["weighed"] and seen["paired"]
+    for k, distance in seen["weighed"] + seen["paired"]:
+        assert k is not None and distance <= largest[k]
+
+
+def test_the_largest_reach_follows_the_member_table(clean_caches, monkeypatch):
+    # E_a1 as the three-letter word E1 E2 E1 (weight e2 - e1 twice plus
+    # e3 - e2, still distinct from the other slot duals) reaches 3 alone and
+    # 6 in a product of two; the bundled table reaches 2 and 4
+    assert {degree: qpair._largest_reach(degree) for degree in (1, 2)} == {1: 2, 2: 4}
+    monkeypatch.setitem(MEMBERS, "E_a1", ((ONE, "E1 E2 E1"),))
+    clean_caches()
+    assert {degree: qpair._largest_reach(degree) for degree in (1, 2)} == _largest_reaches() \
+        == {1: 3, 2: 6}
 
 
 def test_omega_by_expansion_is_independent_and_leaves_no_cache(monkeypatch):

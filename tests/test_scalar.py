@@ -233,3 +233,27 @@ def test_every_result_is_the_canonical_pair(a, b):
             assert math.gcd(_content(num), _content(den)) == 1
             assert LaurentPoly.gcd(num, den).terms == {0: 1}
         assert (den.terms == {0: 1}) == (den is ONE.den)
+
+
+_one_term = st.builds(lambda exp, value: LaurentPoly({exp: value}),
+                      st.integers(-4, 4), st.integers(-12, 12))
+
+
+def _term_by_term(a, b):
+    """a * b as the sum of its term products, one LaurentPoly per pair."""
+    total = LaurentPoly()
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            total = total + LaurentPoly({e1 + e2: c1 * c2})
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_one_term, _integer_laurent, _quotients)
+def test_products_with_a_one_term_factor_or_one_are_unchanged(one, other, c):
+    # a one-term factor c*q^k (k negative, zero or positive, c possibly 0)
+    # is a shift and a scale in either order; ONE returns the other factor
+    expected = _term_by_term(one, other)
+    assert one * other == expected and other * one == expected
+    assert one * one == _term_by_term(one, one)
+    assert c * ONE == c and ONE * c == c
