@@ -17,8 +17,7 @@ from .scalar import Coefficient, ONE, ZERO
 
 class ExteriorAlgebra:
     """A reduction system on the cotangent alphabet, with its top word and the
-    reference product that the Frobenius integral normalises; it keeps its
-    Frobenius matrices and Nakayama table once they are computed."""
+    reference product that the Frobenius integral normalises."""
 
     def __init__(self, name, system):
         self.name = name
@@ -29,8 +28,6 @@ class ExteriorAlgebra:
         self.reference_word = (e[rootdata.ALPHA1], e[rootdata.ALPHA2], e[rootdata.THETA],
                                f[rootdata.ALPHA1], f[rootdata.ALPHA2], f[rootdata.THETA])
         self._ref_coeff = None
-        self._frobenius = {}  # degree -> (rows, cols, matrix), kept unchanged
-        self._nakayama = None
 
     def monomial(self, word, coeff=ONE):
         return NCPolynomial.monomial(self.alphabet, word, coeff)
@@ -122,15 +119,12 @@ def integral(algebra: ExteriorAlgebra, poly: NCPolynomial) -> Coefficient:
 
 
 def frobenius_matrix(algebra: ExteriorAlgebra, degree: int):
-    """Pairing matrix of V^k x V^(6-k), rows and columns in basis order:
-    computed once per algebra and degree, each call given its own copy."""
-    if degree not in algebra._frobenius:
-        rows = algebra.system.irreducible_words(degree)
-        cols = algebra.system.irreducible_words(6 - degree)
-        matrix = [[integral(algebra, algebra.monomial(r + c)) for c in cols] for r in rows]
-        algebra._frobenius[degree] = rows, cols, matrix
-    rows, cols, matrix = algebra._frobenius[degree]
-    return list(rows), list(cols), [list(row) for row in matrix]
+    """Pairing matrix of V^k x V^(6-k), rows and columns in basis order,
+    built afresh by each call."""
+    rows = algebra.system.irreducible_words(degree)
+    cols = algebra.system.irreducible_words(6 - degree)
+    matrix = [[integral(algebra, algebra.monomial(r + c)) for c in cols] for r in rows]
+    return rows, cols, matrix
 
 
 def is_generalized_permutation(matrix) -> bool:
@@ -143,41 +137,25 @@ def is_generalized_permutation(matrix) -> bool:
     return all(c == 1 for c in row_counts) and all(c == 1 for c in col_counts)
 
 
-def nakayama(algebra: ExteriorAlgebra, degree: int):
-    """Solve B(y, sigma(x)) = B(x, y) on the degree-k basis.
-
-    Frobenius nondegeneracy (checked, never patched) gives a unique solution;
-    returns a map basis word -> NCPolynomial.
-    """
-    if not 0 <= degree <= 6:
-        raise ValueError("degree out of range")
-    _, cols, matrix = frobenius_matrix(algebra, 6 - degree)
-    # matrix rows: basis y of degree 6-k; cols: basis z of degree k
-    xs, _, pairings = frobenius_matrix(algebra, degree)
-    solution = {}
+def nakayama_generator_table(algebra: ExteriorAlgebra):
+    """Eigenvalues of the Nakayama automorphism on the six generators, solved
+    afresh by each call: sigma(x) from B(y, sigma(x)) = B(x, y) over the
+    degree-5 basis y.  Frobenius nondegeneracy (checked, never patched) gives
+    a unique solution, and each image must be a multiple of its generator."""
+    _, cols, matrix = frobenius_matrix(algebra, 5)  # B(y, z), z of degree 1
+    xs, _, pairings = frobenius_matrix(algebra, 1)
+    table = {}
     for x, rhs in zip(xs, pairings):  # rhs[i] = B(x, y_i)
         coeffs = linalg.solve(matrix, rhs)
         if coeffs is None:
-            raise ArithmeticError(
-                "Frobenius pairing matrix is singular in degree %d" % degree)
-        solution[x] = NCPolynomial(
-            algebra.alphabet, {cols[j]: c for j, c in enumerate(coeffs)})
-    return solution
-
-
-def nakayama_generator_table(algebra: ExteriorAlgebra):
-    """Eigenvalues of the Nakayama automorphism on the six generators:
-    solved once per algebra, each call given its own copy."""
-    if algebra._nakayama is None:
-        table = {}
-        for word, image in nakayama(algebra, 1).items():
-            letter = algebra.alphabet.letters[word[0]]
-            if set(image.terms) != {word}:
-                raise ArithmeticError("Nakayama image of %s is not diagonal: %s"
-                                      % (letter, image.render()))
-            table[letter] = image.terms[word]
-        algebra._nakayama = table
-    return dict(algebra._nakayama)
+            raise ArithmeticError("Frobenius pairing matrix is singular in degree 1")
+        image = NCPolynomial(algebra.alphabet, dict(zip(cols, coeffs)))
+        letter = algebra.alphabet.letters[x[0]]
+        if set(image.terms) != {x}:
+            raise ArithmeticError("Nakayama image of %s is not diagonal: %s"
+                                  % (letter, image.render()))
+        table[letter] = image.terms[x]
+    return table
 
 
 def nakayama_table_text(algebra: ExteriorAlgebra) -> str:

@@ -8,7 +8,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 
 from . import flagext, linalg, qpair, rootdata
 from .ncpoly import NCPolynomial
@@ -109,14 +108,6 @@ def check_bigrading(foacs: Foacs) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _flag_cosets():
-    """The coset of each flag generator, keyed (p, a, b): computed once for
-    every splitting and shared read-only."""
-    return MappingProxyType({key: qpair.coset(z)
-                             for key, z in qpair.all_flag_generators().items()})
-
-
-@lru_cache(maxsize=None)
 def _flag_omega(key):
     """omega of the flag generator keyed (p, a, b), shared read-only."""
     return qpair.omega(qpair.flag_generator(*key))
@@ -126,7 +117,8 @@ def integrability_data(foacs: Foacs):
     """Extra degree-one ideal generators for the (0,1)-side of the splitting:
     the flag generators whose nonzero coset lies in the holomorphic span."""
     extras = {}
-    for key, vec in _flag_cosets().items():
+    for key, z in qpair.all_flag_generators().items():
+        vec = qpair.coset(z)
         support = {LETTERS[k] for (k,) in vec.terms}
         if support and support <= foacs.holo:
             extras[key] = vec

@@ -124,9 +124,9 @@ def _k_power(letter, power):
 
 
 def _q_exponent(value):
-    """The exponent e of a matrix entry q^e; any other entry raises ValueError."""
+    """The exponent e of a matrix entry q^e; any other entry raises AssertionError."""
     if value != Coefficient.q_power(exp := min(value.num.terms, default=0)):
-        raise ValueError("the matrix entry %s is not a power of q" % value.render())
+        raise AssertionError("the matrix entry %s is not a power of q" % value.render())
     return exp
 
 
@@ -166,7 +166,7 @@ def _member_states(*names):
     summed = {}
     for terms in product(*(MEMBERS[name] for name in names)):
         if any(c.den.terms != {0: 1} for c, _ in terms):
-            raise ValueError("a coefficient of %s is not in Z[q, q^-1]" % " ".join(names))
+            raise AssertionError("a coefficient of %s is not in Z[q, q^-1]" % " ".join(names))
         tokens = " ".join(word for _, word in terms).split()
         exp, state = _normal_form([_k_power(t, 1) if t[0] == "K" else t for t in tokens])
         value = prod((c.num for c, _ in terms), start=_L_ONE.shift(exp))

@@ -87,17 +87,29 @@ def antipode_axiom_defects():
     return _antipode_axiom_defects
 
 
-def _clear_caches():
-    """Empty every lru_cache and every module-level dict named *_cache of
-    the package; build_relations() then builds a new algebra and system."""
+def _module_memos():
+    """Every lru_cache function and every module-level dict named *_cache of
+    the package, as ("module.name", memo)."""
     for info in pkgutil.iter_modules(qflag3.__path__):
         if info.name == "__main__":
             continue
         for name, value in vars(importlib.import_module("qflag3." + info.name)).items():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-            elif isinstance(value, dict) and name.endswith("_cache"):
-                value.clear()
+            if callable(getattr(value, "cache_clear", None)) or (
+                    isinstance(value, dict) and name.endswith("_cache")):
+                yield "%s.%s" % (info.name, name), value
+
+
+def _clear_caches():
+    """Empty every module-level memo of the package; build_relations() then
+    builds a new algebra and system."""
+    for _, memo in _module_memos():
+        (memo.clear if isinstance(memo, dict) else memo.cache_clear)()
+
+
+@pytest.fixture(scope="session")
+def module_memos():
+    """The names "module.name" of the memos that clean_caches empties, sorted."""
+    return sorted(name for name, _ in _module_memos())
 
 
 @pytest.fixture

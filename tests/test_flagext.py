@@ -6,8 +6,7 @@ from qflag3 import flagext, linalg, qpair, suites
 from qflag3.flagext import (associated_graded, build_relations,
                             derive_relations_via_omega, frobenius_matrix,
                             integral,
-                            is_generalized_permutation, nakayama,
-                            nakayama_generator_table,
+                            is_generalized_permutation, nakayama_generator_table,
                             nakayama_is_algebra_morphism, star)
 from qflag3.ncpoly import (NCPolynomial, ReductionSystem, RewriteRule,
                            quotient_dimension_by_elimination)
@@ -217,12 +216,6 @@ def test_nakayama_generator_tables():
         assert table == expected
 
 
-def test_nakayama_fixes_the_unit():
-    algebra = build_relations()
-    image = nakayama(algebra, 0)[()]
-    assert image == algebra.monomial(())
-
-
 def test_nakayama_is_algebra_morphism_on_rules():
     assert nakayama_is_algebra_morphism(build_relations())
     assert nakayama_is_algebra_morphism(associated_graded())
@@ -255,7 +248,8 @@ def test_pairing_invertible_everywhere_but_permutation_only_outside_middle():
 
 
 def test_a_changed_result_leaves_the_next_call_unchanged():
-    # the tables kept on the algebra and its system are handed out as copies
+    # the irreducible words kept on the system are handed out as copies, and
+    # the Frobenius matrices and the Nakayama table are built afresh
     algebra = build_relations()
     table = nakayama_generator_table(algebra)
     expected_table = dict(table)
@@ -272,42 +266,27 @@ def test_a_changed_result_leaves_the_next_call_unchanged():
 
 
 def test_one_run_computes_each_table_once(clean_caches, monkeypatch):
-    # in one run of every suite no Frobenius matrix of an algebra and degree,
-    # no Nakayama solve and no coset of the letter action's check is computed
-    # twice: the integrals are the entries of the matrices requested (998,
-    # where recomputing gave 1,142) and the two worked pairings
-    requested, integrals, solves, cosets = set(), [], Counter(), Counter()
-    matrix, integrate, solve, coset = (flagext.frobenius_matrix, flagext.integral,
-                                       flagext.nakayama, qpair.coset)
-
-    def counted_matrix(algebra, degree):
-        requested.add((algebra, degree))
-        return matrix(algebra, degree)
-
-    def counted_integral(algebra, poly):
-        integrals.append(poly)
-        return integrate(algebra, poly)
-
-    def counted_solve(algebra, degree):
-        solves[algebra.name, degree] += 1
-        return solve(algebra, degree)
+    # in one run of every suite no coset of the letter action's check and no
+    # integrability omega of a flag generator is computed twice
+    cosets, omegas = Counter(), Counter()
+    coset, omega = qpair.coset, qpair.omega
+    flag_keys = {id(z): key for key, z in qpair.all_flag_generators().items()}
 
     def counted_coset(poly):
         if len(poly.terms) == 1:
             cosets[next(iter(poly.terms))] += 1
         return coset(poly)
 
-    monkeypatch.setattr(flagext, "frobenius_matrix", counted_matrix)
-    monkeypatch.setattr(flagext, "integral", counted_integral)
-    monkeypatch.setattr(flagext, "nakayama", counted_solve)
+    def counted_omega(poly):
+        if id(poly) in flag_keys:
+            omegas[flag_keys[id(poly)]] += 1
+        return omega(poly)
+
     monkeypatch.setattr(qpair, "coset", counted_coset)
+    monkeypatch.setattr(qpair, "omega", counted_omega)
     suites.run_all()
-    sizes = sum(len(algebra.system.irreducible_words(degree))
-                * len(algebra.system.irreducible_words(6 - degree))
-                for algebra, degree in requested)
-    assert len(integrals) == sizes + 2 == 998
-    assert solves and set(solves.values()) == {1}
     assert len(cosets) == 819 and set(cosets.values()) == {1}
+    assert len(omegas) == 8 and set(omegas.values()) == {1}
 
 
 def _lost_swap():

@@ -64,6 +64,16 @@ def k1_diagonal(monkeypatch):
     monkeypatch.setitem(qpair.GENERATORS, "K1", {1: (1, Q(1)), 2: (2, Q(-1)), 3: (3, ONE)})
 
 
+def k1_entry_off_the_powers_of_q(monkeypatch):
+    # the (2,2) entry of K1 is q + 1, which is no power of q
+    monkeypatch.setitem(qpair.GENERATORS, "K1", {1: (1, Q(-1)), 2: (2, Q(1) + ONE), 3: (3, ONE)})
+
+
+def member_coefficient_off_the_laurent_ring(monkeypatch):
+    # E_a2 = E2 / (1 + q): a coefficient with a denominator other than 1
+    monkeypatch.setitem(qpair.MEMBERS, "E_a2", ((ONE / (ONE + Q(1)), "E2"),))
+
+
 def _edit_rules(monkeypatch, edit):
     """Rewrite the rhs of every rule that `edit(lhs, rhs)` maps to a new
     term dict; it returns None to keep the rule."""
@@ -110,6 +120,8 @@ MUTATIONS = [
     f_a12_convention_d_q,
     opposite_e_coproduct,
     k1_diagonal,
+    k1_entry_off_the_powers_of_q,
+    member_coefficient_off_the_laurent_ring,
     antipode_q_term_sign,
     rules_nu_sign,
     ff_swap_exponent,

@@ -50,6 +50,20 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert sorted(uncalled) == ["star", "zero"]
 
 
+def test_the_module_memos_are_the_listed_ones(module_memos):
+    # every lru_cache function and *_cache dict at module level, as
+    # clean_caches finds them.  A memo costs code and a way for a patched
+    # value to outlive its use, so a new entry here needs its own A/B
+    # measurement in CHANGES.md: the workloads with and without it alone
+    assert module_memos == [
+        "flagext.associated_graded", "flagext.build_relations", "flagext.ideal_generators",
+        "geometry._flag_omega", "geometry.centrality_verdicts", "geometry.enumerate_foacs",
+        "qpair._entry", "qpair._largest_reach", "qpair._letter_action", "qpair._member_states",
+        "qpair._pair2_cache", "qpair._steps", "qpair.all_flag_generators",
+        "qpair.duals_by_weight", "qpair.letter_weights",
+    ]
+
+
 def test_the_cli_starts_without_the_rational_number_modules():
     # every term value is an int, so importing the CLI loads neither fractions
     # nor the decimal and numbers modules that fractions imports
