@@ -36,8 +36,8 @@ recursion prunes nothing, because a test at each of its nodes costs more
 than the dead paths it would cut.  ``_pair2_cache`` memoises the pairings of
 products of two members, and ``_pair_word`` recomputes its values.
 ``omega_by_expansion`` checks omega independently: it walks each word's index
-tuples, stepping the slot duals' single states, reads no grade and keeps
-nothing between calls.
+tuples, stepping the slot duals' single states, and reads no grade; its legs
+live in one trie per call, keyed by u-letter and dropped on return.
 """
 
 from __future__ import annotations
@@ -363,19 +363,6 @@ def omega(poly: NCPolynomial) -> NCPolynomial:
     return _cotangent_map(poly, 2, _pair2_word)
 
 
-def _advance(legs, path):
-    """The leg through the u-letters of path, (slot, state) -> LaurentPoly, memoised in
-    legs by path from the start at (): the leg at path[:-1] stepped through path[-1]."""
-    if path not in legs:
-        out = {}
-        for (slot, state), value in _advance(legs, path[:-1]).items():
-            for right, step in _steps(state, path[-1]):
-                key, moved = (slot, right), value.shift(step) if step else value
-                out[key] = out[key] + moved if key in out else moved
-        legs[path] = {key: value for key, value in out.items() if value.terms}
-    return legs[path]
-
-
 def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     """Reference implementation of omega by explicit expansion of the matrix
     coproduct over all intermediate index tuples (for cross-checks).
@@ -384,38 +371,53 @@ def omega_by_expansion(poly: NCPolynomial) -> NCPolynomial:
     u_(i1 a1)...u_(ik ak) (x) u_(a1 j1)...u_(ak jk).  One depth-first walk
     per word chooses a_1, ..., a_k from left to right; each leg carries the
     states that the slot duals' states step to on its prefix, keyed by slot,
-    until either leg has none left; the call memoises each leg by the letters
-    it stepped through, as both start from one map.  At a full index tuple
-    the K-power states give each slot's value (the counit is 1 on a K power,
-    0 on an E/F letter), and the product of the legs' values is the (r, c) entry."""
+    until either leg has none left.  The legs live in one trie per call,
+    shared by both legs and every word and dropped on return: a node holds
+    its leg and its children by u-letter, each built on first use from its
+    parent's leg.  At a full index tuple the K-power states give each slot's
+    value (the counit is 1 on a K power, 0 on an E/F letter), and the
+    product of the legs' values is the (r, c) entry."""
     if not counit(poly).is_zero():
         raise ValueError("omega requires a counit-zero input")
     terms = {}
-    legs = {(): {(slot, state): c for slot, dual in enumerate(SLOT_DUALS)
-                 for state, c in _member_states(dual)}}
+    root = ({(slot, state): c for slot, dual in enumerate(SLOT_DUALS)
+             for state, c in _member_states(dual)}, {})
 
-    def slot_values(path):
+    def child(node, letter):
+        leg, children = node
+        if letter not in children:
+            out = {}
+            for (slot, state), value in leg.items():
+                for right, step in _steps(state, letter):
+                    key, moved = (slot, right), value.shift(step) if step else value
+                    out[key] = out[key] + moved if key in out else moved
+            children[letter] = ({key: value for key, value in out.items() if value.terms}, {})
+        return children[letter]
+
+    def slot_values(leg):
         values = {}
-        for (slot, state), value in _advance(legs, path).items():
+        for (slot, state), value in leg.items():
             if len(state) == 2:
                 values[slot] = values.get(slot, _L_ZERO) + value
         return values
 
     def walk(word, coeff, left, right):
         if not word:
-            rv = slot_values(right)
-            for r, x in slot_values(left).items():
+            rv = slot_values(right[0])
+            for r, x in slot_values(left[0]).items():
                 for c, y in rv.items():
                     terms[r, c] = terms.get((r, c), ZERO) + coeff * Coefficient(x * y)
             return
         row, col = divmod(word[0], 3)
         for a in range(3):
-            left_a, right_a = left + (3 * row + a,), right + (3 * a + col,)
-            if _advance(legs, left_a) and _advance(legs, right_a):
-                walk(word[1:], coeff, left_a, right_a)
+            left_a = child(left, 3 * row + a)
+            if left_a[0]:
+                right_a = child(right, 3 * a + col)
+                if right_a[0]:
+                    walk(word[1:], coeff, left_a, right_a)
 
     for word, coeff in poly.terms.items():
-        walk(word, coeff, (), ())
+        walk(word, coeff, root, root)
     return NCPolynomial(COTANGENT_ALPHABET, terms)
 
 

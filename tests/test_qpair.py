@@ -670,6 +670,28 @@ def test_omega_by_expansion_keeps_no_legs_between_calls(clean_caches, monkeypatc
     assert omega_by_expansion(second) == expected
 
 
+def test_omega_by_expansion_builds_each_leg_once_per_call(monkeypatch):
+    # once _steps is warm, the walk over the 18 counit-corrected flag
+    # generators looks up 2,772 steps: each leg of a call is stepped from its
+    # parent once, whichever words and index tuples reach it.  A repeat makes
+    # as many lookups, so no leg is kept from one call to the next
+    samples = [plus_part(poly) for poly in all_flag_generators().values()]
+    for poly in samples:
+        omega_by_expansion(poly)
+    steps, lookups = qpair._steps, []
+
+    def counted(state, letter):
+        lookups[-1] += 1
+        return steps(state, letter)
+
+    monkeypatch.setattr(qpair, "_steps", counted)
+    for _ in range(2):
+        lookups.append(0)
+        for poly in samples:
+            omega_by_expansion(poly)
+    assert lookups == [2772, 2772]
+
+
 def omega_over_index_tuples(poly):
     """omega by the explicit route: for every word and every index tuple,
     the coset of the left leg times the coset of the right leg."""
@@ -703,6 +725,30 @@ def test_omega_by_expansion_walks_every_index_tuple():
         assert omega_by_expansion(poly) == expected, poly.render()
         nonzero += not expected.is_zero()
     assert nonzero >= 70
+
+
+def test_omega_by_expansion_walks_every_index_tuple_of_shared_legs():
+    # the walk against the old route on sums whose legs share trie nodes:
+    # u11 u21 - q u12 u23, where the first word's left leg at (a1, a2) =
+    # (2, 3) and the second word's right leg at (1, 2) both step through
+    # u12 u23, and seeded counit-zero sums of 2-3 words of length at most 5
+    # with a common prefix of 2-4 letters
+    samples = [plus_part(u_monomial((1, 1), (2, 1)) - u_monomial((1, 2), (2, 3), coeff=Q(1)))]
+    rng = random.Random(37)
+    scalars = [ONE, -ONE, Q(1), -Q(-2), Q(3), NU]
+    for _ in range(30):
+        prefix = tuple(rng.randrange(9) for _ in range(rng.randint(2, 4)))
+        poly = NCPolynomial(U_ALPHABET)
+        for _ in range(rng.randint(2, 3)):
+            word = prefix + tuple(rng.randrange(9) for _ in range(rng.randint(0, 5 - len(prefix))))
+            poly = poly + NCPolynomial.monomial(U_ALPHABET, word, rng.choice(scalars))
+        samples.append(plus_part(poly))
+    nonzero = 0
+    for poly in samples:
+        expected = omega_over_index_tuples(poly)
+        assert omega_by_expansion(poly) == expected, poly.render()
+        nonzero += not expected.is_zero()
+    assert not samples[0].is_zero() and nonzero >= 20, nonzero
 
 
 def test_product_pairing_is_the_coproduct_expansion():
